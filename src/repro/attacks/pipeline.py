@@ -71,8 +71,8 @@ class ProbableCause:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self._threshold = threshold
         self._suspect_prefix = suspect_prefix
-        # LSH-indexed store by default: matching stays sublinear as the
-        # suspect population grows.  Any FingerprintDatabase works.
+        # Packed store by default: one vectorized pass scores every
+        # suspect as the population grows.  Any FingerprintDatabase works.
         self._database = (
             database if database is not None else IndexedFingerprintDatabase()
         )
@@ -133,8 +133,8 @@ class ProbableCause:
 
         Identification is Algorithm 2 via
         :func:`~repro.core.identify.identify_error_string`, so an
-        indexed database answers through its LSH candidate filter and
-        the error string is never re-marked.
+        indexed database answers through its packed scan and the error
+        string is never re-marked.
         """
         self._observations += 1
         result = identify_error_string(

@@ -49,7 +49,7 @@ class SupplyChainAttacker:
         self._accuracy = characterization_accuracy
         self._temperatures = tuple(characterization_temperatures)
         # Interception logs reach nation-state scale; the default store
-        # answers Algorithm 2 through an LSH index instead of a scan.
+        # answers Algorithm 2 with one packed pass instead of a scalar loop.
         self._database = (
             database if database is not None else IndexedFingerprintDatabase()
         )

@@ -22,8 +22,20 @@ import numpy as np
 
 _WORD_BITS = 64
 
-# Per-byte popcount lookup used by the fallback path of popcount().
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+
+    def popcount_words(words: np.ndarray) -> np.ndarray:
+        """Set bits of a ``(..., W)`` uint64 array, summed over the last axis."""
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+else:
+    # Per-byte popcount lookup for numpy < 2, which lacks bitwise_count.
+    _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+    def popcount_words(words: np.ndarray) -> np.ndarray:
+        """Set bits of a ``(..., W)`` uint64 array, summed over the last axis."""
+        as_bytes = np.ascontiguousarray(words).view(np.uint8)
+        return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
 
 
 def _words_for(nbits: int) -> int:
@@ -137,10 +149,7 @@ class BitVector:
 
     def popcount(self) -> int:
         """Number of set bits (Hamming weight)."""
-        if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-            return int(np.bitwise_count(self._words).sum())
-        as_bytes = self._words.view(np.uint8)
-        return int(_POPCOUNT8[as_bytes].sum())
+        return int(popcount_words(self._words))
 
     def any(self) -> bool:
         """True if at least one bit is set."""
@@ -220,12 +229,12 @@ class BitVector:
     def count_and(self, other: "BitVector") -> int:
         """Popcount of ``self & other`` without materializing the result."""
         self._require_same_length(other)
-        return BitVector(self._nbits, self._words & other._words).popcount()
+        return int(popcount_words(self._words & other._words))
 
     def count_andnot(self, other: "BitVector") -> int:
         """Popcount of ``self.andnot(other)`` without materializing it."""
         self._require_same_length(other)
-        return BitVector(self._nbits, self._words & ~other._words).popcount()
+        return int(popcount_words(self._words & ~other._words))
 
     def hamming_distance(self, other: "BitVector") -> int:
         """Number of positions where the two vectors differ."""

@@ -18,6 +18,7 @@ from repro.core.characterize import characterize, characterize_trials
 from repro.core.cluster import Cluster, OnlineClusterer, cluster_outputs
 from repro.core.distance import (
     DEFAULT_THRESHOLD,
+    PackedFingerprints,
     hamming_distance_normalized,
     jaccard_distance,
     probable_cause_distance,
@@ -71,6 +72,7 @@ __all__ = [
     "OnlineClusterer",
     "cluster_outputs",
     "DEFAULT_THRESHOLD",
+    "PackedFingerprints",
     "hamming_distance_normalized",
     "jaccard_distance",
     "probable_cause_distance",

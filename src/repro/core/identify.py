@@ -127,7 +127,7 @@ def identify_error_string(
 
     Databases that implement their own ``identify_error_string`` method
     (e.g. :class:`repro.service.IndexedFingerprintDatabase`, which
-    answers through an LSH candidate filter) are delegated to, so
+    answers with one packed scan) are delegated to, so
     callers holding a prebuilt error string always get the fastest
     available path without recomputing :func:`mark_errors`.
     """

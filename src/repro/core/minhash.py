@@ -112,23 +112,20 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
         return mixed ^ (mixed >> np.uint64(31))
 
 
+#: Bands a stored vector must share with a query to become a candidate.
+MIN_BAND_MATCHES = 1
+
+
 class LSHIndex:
     """Banded LSH index from bit vectors to caller-defined values.
 
     ``add`` stores a value under every band key of the vector's
     signature; ``query`` returns the union of values colliding with the
-    query vector in at least ``min_band_matches`` bands.
+    query vector in at least :data:`MIN_BAND_MATCHES` band.
     """
 
-    def __init__(
-        self,
-        hasher: MinHasher = None,
-        min_band_matches: int = 1,
-    ):
+    def __init__(self, hasher: MinHasher = None):
         self._hasher = hasher if hasher is not None else MinHasher()
-        if min_band_matches < 1:
-            raise ValueError("min_band_matches must be >= 1")
-        self._min_band_matches = min_band_matches
         self._buckets: Dict[Tuple[int, bytes], List[Hashable]] = {}
         self._size = 0
 
@@ -153,7 +150,7 @@ class LSHIndex:
         self._size += 1
 
     def query(self, bits: BitVector) -> Set[Hashable]:
-        """Values sharing at least ``min_band_matches`` bands with ``bits``."""
+        """Values sharing at least :data:`MIN_BAND_MATCHES` band with ``bits``."""
         if not bits.any():
             return set()
         signature = self._hasher.signature(bits)
@@ -164,7 +161,7 @@ class LSHIndex:
         return {
             value
             for value, count in counts.items()
-            if count >= self._min_band_matches
+            if count >= MIN_BAND_MATCHES
         }
 
     def query_counts(self, bits: BitVector) -> Dict[Hashable, int]:

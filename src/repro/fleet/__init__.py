@@ -16,12 +16,7 @@ from repro.fleet.fingerprinters import (
     StartupFingerprinter,
     make_fingerprinter,
 )
-from repro.fleet.fusion import (
-    FusedMatch,
-    PackedFingerprints,
-    fused_scores,
-    identify_fused,
-)
+from repro.fleet.fusion import FusedMatch, fused_scores, identify_fused
 from repro.fleet.lifecycle import (
     FleetClock,
     FleetDevice,
@@ -44,7 +39,6 @@ __all__ = [
     "FusedMatch",
     "LifecycleModel",
     "LifecycleParams",
-    "PackedFingerprints",
     "RefreshPolicy",
     "RowhammerFingerprinter",
     "SpoofingEvaluation",

@@ -38,10 +38,11 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.bits import BitVector
+from repro.core.distance import PackedFingerprints
 from repro.core.fingerprint import Fingerprint
 from repro.dram.devices import get_device
 from repro.fleet.fingerprinters import Fingerprinter, make_fingerprinter
-from repro.fleet.fusion import PackedFingerprints, fused_scores
+from repro.fleet.fusion import fused_scores
 from repro.fleet.lifecycle import (
     FleetClock,
     FleetDevice,

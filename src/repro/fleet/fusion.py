@@ -1,14 +1,9 @@
-"""Vectorized matching and score-level modality fusion.
+"""Score-level modality fusion.
 
-Identifying one probe against N enrolled fingerprints with the scalar
-:func:`~repro.core.distance.probable_cause_distance` is N Python calls;
-at fleet scale (hundreds of devices × several modalities × several
-epochs) that constant factor dominates.  :class:`PackedFingerprints`
-stacks one modality's enrolled fingerprints into an ``(N, W)`` uint64
-matrix so a probe's distance to *every* fingerprint is one vectorized
-pass: with the paper's fingerprint normalization and footnote-2 swap
-rule, Algorithm 3 reduces to ``(min(w_fp, w_probe) - |fp & probe|) /
-min(w_fp, w_probe)`` — intersection counts are the only bit work.
+Each modality's enrolled fingerprints live in one
+:class:`~repro.core.distance.PackedFingerprints` matrix, so a probe's
+Algorithm 3 distance to every device is one vectorized pass per
+modality.
 
 Fusion is score-level, the standard late-fusion recipe: each
 modality's distance is normalized by that modality's acceptance
@@ -23,100 +18,12 @@ behind the fused-accuracy floor the benchmark demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.bits import BitVector
-from repro.core.fingerprint import Fingerprint
-
-#: Byte-wise popcount table (numpy < 2 fallback, mirrors repro.bits).
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a (..., W) uint64 array."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    as_bytes = words.view(np.uint8).reshape(*words.shape[:-1], -1)
-    return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
-
-
-def _packed_words(bits: BitVector, n_words: int) -> np.ndarray:
-    """The vector's uint64 words, zero-padded to ``n_words``."""
-    raw = bits.to_bytes().ljust(n_words * 8, b"\x00")
-    return np.frombuffer(raw, dtype=np.uint64).copy()
-
-
-class PackedFingerprints:
-    """One modality's enrolled fingerprints as a bit matrix.
-
-    Rows are keyed (enrollment keys double as Algorithm 2 priority:
-    earlier row wins distance ties), and :meth:`distances` scores one
-    probe against every row in a single vectorized pass.
-    """
-
-    def __init__(
-        self, entries: Sequence[Tuple[str, Fingerprint]], nbits: int
-    ) -> None:
-        if nbits < 1:
-            raise ValueError("nbits must be positive")
-        self._nbits = nbits
-        self._keys: List[str] = []
-        n_words = (nbits + 63) // 64
-        rows = []
-        weights = []
-        for key, fingerprint in entries:
-            if fingerprint.nbits != nbits:
-                raise ValueError(
-                    f"fingerprint {key!r} covers {fingerprint.nbits} bits, "
-                    f"matrix holds {nbits}"
-                )
-            self._keys.append(key)
-            rows.append(_packed_words(fingerprint.bits, n_words))
-            weights.append(fingerprint.weight)
-        if rows:
-            self._matrix = np.stack(rows)
-        else:
-            self._matrix = np.zeros((0, n_words), dtype=np.uint64)
-        self._weights = np.asarray(weights, dtype=np.int64)
-
-    @property
-    def keys(self) -> List[str]:
-        """Enrollment keys, in row order."""
-        return list(self._keys)
-
-    @property
-    def nbits(self) -> int:
-        """Region size every row covers."""
-        return self._nbits
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def distances(self, probe: BitVector) -> np.ndarray:
-        """Algorithm 3 distance from ``probe`` to every row at once.
-
-        Equivalent to calling :func:`probable_cause_distance` with the
-        default fingerprint normalization per row: the smaller-weight
-        side plays the fingerprint role, so the distance is
-        ``(min_w - intersection) / min_w`` (0.0 when ``min_w`` is 0).
-        """
-        if probe.nbits != self._nbits:
-            raise ValueError(
-                f"probe covers {probe.nbits} bits, matrix holds {self._nbits}"
-            )
-        if not self._keys:
-            return np.zeros(0, dtype=float)
-        probe_words = _packed_words(probe, self._matrix.shape[1])
-        intersections = _popcount_rows(self._matrix & probe_words)
-        min_weight = np.minimum(self._weights, probe.popcount())
-        distances = np.zeros(len(self._keys), dtype=float)
-        nonzero = min_weight > 0
-        distances[nonzero] = (
-            min_weight[nonzero] - intersections[nonzero]
-        ) / min_weight[nonzero]
-        return distances
+from repro.core.distance import PackedFingerprints
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,11 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.attacks.spoofing import perturbed_probe, replay_probe
+from repro.core.distance import PackedFingerprints
 from repro.core.fingerprint import Fingerprint
 from repro.defenses.replay import ReplayGuard
 from repro.fleet.fingerprinters import Fingerprinter
-from repro.fleet.fusion import PackedFingerprints, identify_fused
+from repro.fleet.fusion import identify_fused
 from repro.fleet.lifecycle import base_key
 
 #: The channel the spoofer has leaked; decay fingerprints are the ones

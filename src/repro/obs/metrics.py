@@ -430,17 +430,6 @@ def service_metrics_families(stats: Dict[str, object]) -> List[Family]:
                     samples=samples,
                 )
             )
-    reduction = stats.get("candidate_reduction")
-    if isinstance(reduction, float):
-        name = "repro_index_candidate_reduction_ratio"
-        families.append(
-            Family(
-                name=name,
-                kind="gauge",
-                help="fraction of the database the LSH filter skipped",
-                samples=[Sample(name=name, value=reduction)],
-            )
-        )
     return families
 
 

@@ -11,8 +11,8 @@ that makes them answer at that scale:
   every stage of the service is observable;
 * :mod:`repro.service.indexed` — :class:`IndexedFingerprintDatabase`,
   a drop-in :class:`~repro.core.identify.FingerprintDatabase` that
-  answers Algorithm-2 queries through a MinHash/LSH candidate filter
-  plus exact re-verification instead of a linear scan;
+  answers Algorithm-2 queries with one packed AND + popcount pass
+  over every stored fingerprint instead of a scalar loop;
 * :mod:`repro.service.store` — a persistent, sharded, append-only
   fingerprint store layered on :mod:`repro.core.serialize`: journaled
   crash-safe ingest, idempotent recovery, checksummed v2 segments,
@@ -50,7 +50,7 @@ from repro.service.batch import (
     QueryResult,
     merge_degraded,
 )
-from repro.service.indexed import IndexedFingerprintDatabase, IndexParams
+from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.store import (
     QuarantinedSegment,
@@ -120,7 +120,6 @@ __all__ = [
     "PlacementStore",
     "QueryResult",
     "IndexedFingerprintDatabase",
-    "IndexParams",
     "LatencyHistogram",
     "QuarantinedSegment",
     "QuarantineEntry",

@@ -1,126 +1,48 @@
-"""LSH-indexed fingerprint database — Algorithm 2 in sublinear time.
+"""Packed fingerprint database — Algorithm 2 as one vectorized scan.
 
 :class:`~repro.core.identify.FingerprintDatabase` answers "which chip
-produced this output?" by scanning every stored fingerprint with the
-Algorithm 3 distance — fine for the paper's ten chips, quadratic pain
+produced this output?" by calling the scalar Algorithm 3 distance once
+per stored fingerprint — fine for the paper's ten chips, far too slow
 at the §4 nation-state scale of a fingerprint per device.  This module
 keeps the database contract (keys, insertion order, first-below-
-threshold semantics) but answers queries through the MinHash/LSH
-machinery of :mod:`repro.core.minhash`:
-
-1. the query error string's signature selects *candidate* keys whose
-   signatures collide in at least ``min_band_matches`` bands;
-2. candidates are re-verified **in insertion order** with the exact
-   :func:`~repro.core.distance.probable_cause_distance`, and the first
-   one below threshold wins — exactly Algorithm 2's decision rule,
-   restricted to the candidate set.
-
-Because an error string from a deeper approximation level contains the
-fingerprint's bits *plus* extra errors, the index uses many single-row
-bands (default 64 bands x 1 row): per-band collision probability is
-the raw Jaccard similarity, so recall stays high even when the query
-carries several times the fingerprint's error volume, while requiring
-two band hits keeps the ~1 %-overlap cross-chip collisions out of the
-candidate set.  Candidates are *always* re-verified — LSH is a recall
-filter here, never a decision procedure.
-
-Small databases fall back to the plain linear scan (an index over ten
-chips costs more than it saves); the crossover is
-:attr:`IndexParams.linear_threshold`.
+threshold semantics) but mirrors every stored fingerprint into one
+:class:`~repro.core.distance.PackedFingerprints` matrix, so a query is
+one AND + popcount pass over all rows.  The scan is exact: every row
+is scored, and the lowest row under the threshold wins — exactly
+Algorithm 2's decision rule, bit-identical to the scalar loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.bits import BitVector
-from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
+from repro.core.distance import DEFAULT_THRESHOLD, PackedFingerprints
 from repro.core.fingerprint import Fingerprint
 from repro.core.identify import FingerprintDatabase, Identification
-from repro.core.minhash import LSHIndex, MinHasher, MinHashParams
 from repro.service.metrics import ServiceMetrics
 
 
-@dataclass(frozen=True)
-class IndexParams:
-    """Tuning knobs for :class:`IndexedFingerprintDatabase`.
-
-    Parameters
-    ----------
-    bands, rows_per_band:
-        LSH signature shape.  Single-row bands make the per-band
-        collision probability equal the Jaccard similarity itself,
-        which keeps recall robust to mismatched approximation levels
-        (a 10 %-error output vs. a 1 %-error fingerprint still shares
-        ~10 % Jaccard with it, and 64 such bands essentially always
-        collide at least twice).
-    min_band_matches:
-        Bands a stored fingerprint must share with the query before it
-        becomes a candidate; 2 suppresses the accidental cross-chip
-        collisions that single-row bands admit.
-    linear_threshold:
-        Database sizes strictly below this are scanned linearly — the
-        index only pays for itself on big stores.
-    seed:
-        Seed of the salted hash family (fixed so stores built in one
-        process answer identically in another).
-    """
-
-    bands: int = 64
-    rows_per_band: int = 1
-    min_band_matches: int = 2
-    linear_threshold: int = 64
-    seed: int = 0x9E3779B9
-
-    def make_hasher(self) -> MinHasher:
-        """MinHash engine with this parameter set."""
-        return MinHasher(
-            MinHashParams(
-                bands=self.bands,
-                rows_per_band=self.rows_per_band,
-                seed=self.seed,
-            )
-        )
-
-
 class IndexedFingerprintDatabase(FingerprintDatabase):
-    """Drop-in fingerprint database with LSH-accelerated identification.
+    """Drop-in fingerprint database with packed, vectorized identification.
 
-    Maintains a :class:`~repro.core.minhash.LSHIndex` over every stored
-    fingerprint and overrides the identification hot path; everything
-    else (keys, iteration order, serialization through
-    :mod:`repro.core.serialize`) behaves exactly like the base class.
-    :func:`repro.core.identify.identify_error_string` detects the
-    specialised :meth:`identify_error_string` method and routes through
-    it automatically, so existing attack code gains the index by merely
-    swapping the database instance.
+    Keeps a :class:`~repro.core.distance.PackedFingerprints` row per
+    stored fingerprint, in insertion order, and overrides the
+    identification hot path; everything else (keys, iteration order,
+    serialization through :mod:`repro.core.serialize`) behaves exactly
+    like the base class.  :func:`repro.core.identify.identify_error_string`
+    detects the specialised :meth:`identify_error_string` method and
+    routes through it automatically, so existing attack code gains the
+    fast path by merely swapping the database instance.
 
-    Fingerprints with no set bits cannot be MinHashed; they are kept in
-    a side list and re-verified on every query (they are rare — an
-    empty fingerprint promises nothing and never matches anyway).
+    Every stored fingerprint must cover the same number of bits; the
+    first one added fixes the matrix width.
     """
 
-    def __init__(
-        self,
-        params: IndexParams = IndexParams(),
-        metrics: Optional[ServiceMetrics] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[ServiceMetrics] = None) -> None:
         super().__init__()
-        self._params = params
         self._metrics = metrics if metrics is not None else ServiceMetrics()
-        self._index = LSHIndex(
-            hasher=params.make_hasher(),
-            min_band_matches=params.min_band_matches,
-        )
-        self._order: Dict[str, int] = {}
-        self._unindexed: List[str] = []
-        self._next_order = 0
-
-    @property
-    def params(self) -> IndexParams:
-        """Index tuning parameters in use."""
-        return self._params
+        self._packed: Optional[PackedFingerprints] = None
 
     @property
     def metrics(self) -> ServiceMetrics:
@@ -128,97 +50,62 @@ class IndexedFingerprintDatabase(FingerprintDatabase):
         return self._metrics
 
     def add(self, key: str, fingerprint: Fingerprint) -> None:
-        """Store and index ``fingerprint`` under a fresh ``key``."""
+        """Store ``fingerprint`` under a fresh ``key`` as the last row."""
+        if key not in self:
+            if self._packed is None:
+                self._packed = PackedFingerprints((), fingerprint.nbits)
+            self._packed.add(key, fingerprint)
         super().add(key, fingerprint)
-        self._order[key] = self._next_order
-        self._next_order += 1
-        self._index_entry(key, fingerprint)
 
     def update(self, key: str, fingerprint: Fingerprint) -> None:
-        """Replace the fingerprint under ``key`` and refresh the index.
-
-        The new signature is indexed alongside the old one (the LSH
-        buckets are append-only); stale buckets still resolve to the
-        same key and are harmless because every candidate is
-        re-verified against the *current* fingerprint.
-        """
+        """Replace the fingerprint under ``key``; its row keeps its place."""
+        if self._packed is not None and key in self:
+            self._packed.update(key, fingerprint)
         super().update(key, fingerprint)
-        self._index_entry(key, fingerprint)
 
     def remove(self, key: str) -> None:
-        """Drop ``key`` from the database and the query path.
-
-        The LSH buckets are append-only, so the key's signature rows
-        stay behind as stale entries; :meth:`candidate_keys` filters
-        them out, and re-verification only ever touches live keys.
-        """
+        """Drop ``key`` and its row."""
         super().remove(key)
-        self._order.pop(key, None)
-        if key in self._unindexed:
-            self._unindexed.remove(key)
+        assert self._packed is not None
+        self._packed.remove(key)
 
-    def _index_entry(self, key: str, fingerprint: Fingerprint) -> None:
-        if fingerprint.bits.any():
-            self._index.add(fingerprint.bits, key)
-        elif key not in self._unindexed:
-            self._unindexed.append(key)
+    def _within(
+        self, error_string: BitVector, threshold: float
+    ) -> List[Tuple[str, float]]:
+        if self._packed is None:
+            return []
+        return self._packed.within(error_string, threshold)
 
-    def candidate_keys(self, error_string: BitVector) -> List[str]:
-        """Candidate keys for a query, in insertion order.
-
-        The union of LSH collisions and the unindexable (empty)
-        fingerprints, sorted by insertion sequence so that verification
-        preserves Algorithm 2's first-match semantics.  Stale bucket
-        entries for since-removed keys are filtered out here.
-        """
-        candidates = set(self._index.query(error_string))
-        candidates.update(self._unindexed)
-        candidates.intersection_update(self._order)
-        return sorted(candidates, key=self._order.__getitem__)
+    def candidate_keys(
+        self, error_string: BitVector, threshold: float = DEFAULT_THRESHOLD
+    ) -> List[str]:
+        """Every key within ``threshold`` of ``error_string``, in
+        insertion order; Algorithm 2's match is the first."""
+        return [key for key, _ in self._within(error_string, threshold)]
 
     def identify_error_string(
         self,
         error_string: BitVector,
         threshold: float = DEFAULT_THRESHOLD,
     ) -> Identification:
-        """Algorithm 2 against this database, LSH-accelerated.
+        """Algorithm 2 against this database, in one packed scan.
 
         Returns the first stored fingerprint (in insertion order)
-        within ``threshold`` of ``error_string``.  Below
-        ``linear_threshold`` entries this is the plain linear scan;
-        above it, LSH candidate retrieval plus exact re-verification.
+        within ``threshold`` of ``error_string``, with the kernel's
+        distance; every row is scored.
         """
         metrics = self._metrics
         metrics.count("index.queries")
         if not error_string.any():
             metrics.count("index.empty_queries")
             return Identification.failed()
-        if len(self) < self._params.linear_threshold:
-            metrics.count("index.linear_scans")
-            metrics.count("index.pairs_considered", len(self))
-            with metrics.time("identify.linear"):
-                return self._scan(self.items(), error_string, threshold)
-        metrics.count("index.indexed_scans")
         metrics.count("index.pairs_considered", len(self))
         with metrics.time("identify.indexed"):
-            with metrics.time("identify.candidates"):
-                candidates = self.candidate_keys(error_string)
-            metrics.count("index.candidates", len(candidates))
-            pairs = ((key, self.get(key)) for key in candidates)
-            return self._scan(pairs, error_string, threshold)
-
-    def _scan(self, pairs, error_string: BitVector, threshold: float) -> Identification:
-        verified = 0
-        try:
-            for key, fingerprint in pairs:
-                verified += 1
-                distance = probable_cause_distance(error_string, fingerprint)
-                if distance < threshold:
-                    self._metrics.count("index.matches")
-                    return Identification(
-                        matched=True, key=key, distance=distance
-                    )
-            self._metrics.count("index.misses")
+            hits = self._within(error_string, threshold)
+        metrics.count("index.verifications", len(self))
+        if not hits:
+            metrics.count("index.misses")
             return Identification.failed()
-        finally:
-            self._metrics.count("index.verifications", verified)
+        metrics.count("index.matches")
+        key, distance = hits[0]
+        return Identification(matched=True, key=key, distance=distance)

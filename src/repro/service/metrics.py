@@ -1,10 +1,9 @@
 """Instrumentation for the identification service.
 
 A matching service serving heavy query traffic is only tunable if it
-is observable: how many LSH candidates does the index emit per query,
-how many exact distance verifications did they cost, how often did a
-shard have to be read from disk, and where does the time go.  This
-module provides the two primitives the service layers share:
+is observable: how many stored fingerprints did each query score, how
+often did a shard have to be read from disk, and where does the time
+go.  This module provides the two primitives the service layers share:
 
 * :class:`LatencyHistogram` — a log-bucketed latency histogram with
   percentile estimation, cheap enough to sit on the per-query path;
@@ -239,20 +238,6 @@ class ServiceMetrics:
         with self._lock:
             return self._histograms.get(stage)
 
-    def candidate_reduction(self) -> Optional[float]:
-        """Fraction of the database the LSH filter let the service skip.
-
-        ``1 - verifications / (queries * database_size)`` over indexed
-        queries; None until the index has answered at least one query
-        against a known database size.
-        """
-        with self._lock:
-            scanned = self._counters.get("index.pairs_considered", 0)
-            verified = self._counters.get("index.verifications", 0)
-        if scanned <= 0:
-            return None
-        return 1.0 - verified / scanned
-
     def reset(self) -> None:
         """Drop all counters and histograms."""
         with self._lock:
@@ -274,15 +259,11 @@ class ServiceMetrics:
                 name: self._histograms[name].snapshot()
                 for name in sorted(self._histograms)
             }
-        snapshot: Dict[str, object] = {
+        return {
             "schema_version": STATS_SCHEMA_VERSION,
             "counters": counters,
             "stages": stages,
         }
-        reduction = self.candidate_reduction()
-        if reduction is not None:
-            snapshot["candidate_reduction"] = reduction
-        return snapshot
 
     def format_stats(self) -> str:
         """Human-readable rendering of :meth:`stats` for the CLI."""
@@ -300,7 +281,4 @@ class ServiceMetrics:
                 f" p95={summary['p95_s'] * 1e3:.3f}ms"
                 f" max={summary['max_s'] * 1e3:.3f}ms"
             )
-        reduction = stats.get("candidate_reduction")
-        if isinstance(reduction, float):
-            lines.append(f"candidate_reduction: {reduction:.4f}")
         return "\n".join(lines)

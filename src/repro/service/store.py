@@ -81,7 +81,7 @@ from repro.reliability.bloom import (
     load_segment_bloom,
 )
 from repro.reliability.faults import StorageIO
-from repro.service.indexed import IndexedFingerprintDatabase, IndexParams
+from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import ServiceMetrics
 
 _MANIFEST_NAME = "manifest.json"
@@ -261,12 +261,10 @@ class ShardedFingerprintStore:
         self,
         root: Union[str, Path],
         n_shards: int = 8,
-        index_params: IndexParams = IndexParams(),
         metrics: Optional[ServiceMetrics] = None,
         storage_io: Optional[StorageIO] = None,
     ) -> None:
         self._root = Path(root)
-        self._index_params = index_params
         self._metrics = metrics if metrics is not None else ServiceMetrics()
         self._io = storage_io if storage_io is not None else StorageIO()
         self._cache: Dict[int, LoadedShard] = {}
@@ -1243,9 +1241,7 @@ class ShardedFingerprintStore:
         with self._metrics.time("store.shard_load"), obs_span(
             "store.shard_load", shard=shard
         ):
-            database = IndexedFingerprintDatabase(
-                params=self._index_params, metrics=self._metrics
-            )
+            database = IndexedFingerprintDatabase(metrics=self._metrics)
             sequences: Dict[str, int] = {}
             shard_segments = sorted(
                 (s for s in self._segments if s.shard == shard),

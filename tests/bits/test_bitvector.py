@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits import BitVector, concat
+from repro.bits import BitVector, concat, popcount_words
 
 
 # ----------------------------------------------------------------------
@@ -276,3 +276,36 @@ def test_invert_partitions_bits(payload):
     vec = BitVector.from_indices(nbits, indices)
     assert vec.popcount() + (~vec).popcount() == nbits
     assert (vec & ~vec).popcount() == 0
+
+
+# ----------------------------------------------------------------------
+# Row popcount helper
+# ----------------------------------------------------------------------
+
+
+def _bitvector_module_without_bitwise_count(monkeypatch):
+    """A private copy of the bitvector module, imported as if numpy
+    lacked ``bitwise_count`` (numpy < 2), so it takes the byte table."""
+    import importlib.util
+
+    from repro.bits import bitvector
+
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    spec = importlib.util.spec_from_file_location("_bitvector_numpy1", bitvector.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_popcount_words_both_paths_agree(monkeypatch):
+    rng = np.random.default_rng(64)
+    words = rng.integers(0, 2**64, size=(5, 3), dtype=np.uint64, endpoint=False)
+    expected = [sum(bin(int(word)).count("1") for word in row) for row in words]
+    tail = words[:, 1:]  # a non-contiguous view
+    expected_tail = popcount_words(tail).tolist()
+    assert popcount_words(words).tolist() == expected
+    assert int(popcount_words(words[2])) == expected[2]
+    fallback = _bitvector_module_without_bitwise_count(monkeypatch)
+    assert not hasattr(np, "bitwise_count")
+    assert fallback.popcount_words(words).tolist() == expected
+    assert fallback.popcount_words(tail).tolist() == expected_tail

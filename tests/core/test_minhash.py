@@ -94,23 +94,9 @@ class TestLSHIndex:
         assert len(index) == 0
         assert index.query(BitVector.zeros(64)) == set()
 
-    def test_min_band_matches_filters(self, rng):
-        strict = LSHIndex(min_band_matches=8)
-        page = random_page(rng)
-        strict.add(page, "page")
-        assert "page" in strict.query(page)  # exact match hits all bands
-        barely = perturb(page, rng, miss_rate=0.3, additions=50)
-        # A heavily perturbed copy should miss at the strict setting.
-        assert strict.query(barely) in (set(), {"page"})  # usually empty
-        assert len(strict.query(random_page(rng))) == 0
-
     def test_query_counts(self, rng):
         index = LSHIndex()
         page = random_page(rng)
         index.add(page, "page")
         counts = index.query_counts(page)
         assert counts["page"] == index.hasher.params.bands
-
-    def test_min_band_matches_validation(self):
-        with pytest.raises(ValueError):
-            LSHIndex(min_band_matches=0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.bits import BitVector
-from repro.core import Fingerprint, probable_cause_distance
-from repro.fleet import PackedFingerprints, fused_scores, identify_fused
+from repro.core import Fingerprint, PackedFingerprints, probable_cause_distance
+from repro.fleet import fused_scores, identify_fused
 from repro.fleet.fusion import SCORE_CAP
 
 NBITS = 512

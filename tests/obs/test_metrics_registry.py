@@ -191,13 +191,6 @@ class TestServiceMetricsBridge:
         assert total.name == "repro_batch_identify_seconds_sum"
         assert total.value == pytest.approx(0.006)
 
-    def test_candidate_reduction_becomes_gauge(self):
-        families = service_metrics_families(self.populate().stats())
-        by_name = {family.name: family for family in families}
-        gauge = by_name["repro_index_candidate_reduction_ratio"]
-        assert gauge.kind == "gauge"
-        assert gauge.samples[0].value == pytest.approx(0.9)
-
     def test_bind_is_live_at_scrape_time(self):
         metrics = ServiceMetrics()
         registry = MetricsRegistry()

@@ -1,15 +1,18 @@
-"""Tests for the LSH-indexed fingerprint database.
+"""Tests for the packed fingerprint database.
 
-The load-bearing test is the equivalence property: on a randomized
-1000-device corpus the indexed database must make the *same*
-match/no-match decisions (and return the same keys) as the linear-scan
-reference — LSH is a recall filter, never a semantics change.
+The load-bearing tests are the equivalence properties: on a randomized
+1000-device corpus, and under random interleavings of add / update /
+remove / identify, the packed database must make the *same*
+match/no-match decisions (and return the same keys and distances) as
+the scalar linear-scan reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import BitVector
 from repro.core import (
@@ -17,8 +20,9 @@ from repro.core import (
     Fingerprint,
     FingerprintDatabase,
     identify_error_string,
+    probable_cause_distance,
 )
-from repro.service import IndexedFingerprintDatabase, IndexParams, ServiceMetrics
+from repro.service import IndexedFingerprintDatabase, ServiceMetrics
 
 NBITS = 4096
 DENSITY = 0.01
@@ -84,34 +88,17 @@ class TestEquivalenceProperty:
         # asserted above); the vast majority must still match.
         assert matched_hits >= 95
 
-        # The filter actually filtered: far fewer verifications than a
-        # linear scan would have made.
-        metrics = indexed.metrics
-        assert metrics.counter("index.indexed_scans") > 0
-        reduction = metrics.candidate_reduction()
-        assert reduction is not None and reduction > 0.9
-
 
 class TestSemantics:
     def test_first_match_wins_in_insertion_order(self):
         """Two equally-close fingerprints: the earlier key must win,
         exactly as Algorithm 2's linear scan decides."""
-        params = IndexParams(linear_threshold=1)  # force the indexed path
-        database = IndexedFingerprintDatabase(params=params)
+        database = IndexedFingerprintDatabase()
         bits = BitVector.from_indices(NBITS, range(0, 40))
         database.add("later-alphabetically", Fingerprint(bits=bits.copy()))
         database.add("earlier-alphabetically", Fingerprint(bits=bits.copy()))
         result = database.identify_error_string(bits)
         assert result.key == "later-alphabetically"  # inserted first
-
-    def test_linear_fallback_below_threshold(self):
-        database = IndexedFingerprintDatabase()  # default threshold 64
-        bits = BitVector.from_indices(NBITS, [1, 2, 3])
-        database.add("only", Fingerprint(bits=bits))
-        result = database.identify_error_string(bits)
-        assert result.matched and result.key == "only"
-        assert database.metrics.counter("index.linear_scans") == 1
-        assert database.metrics.counter("index.indexed_scans") == 0
 
     def test_empty_error_string_fails(self):
         database = IndexedFingerprintDatabase()
@@ -120,12 +107,10 @@ class TestSemantics:
         assert database.metrics.counter("index.empty_queries") == 1
 
     def test_empty_fingerprints_stay_visible_to_queries(self):
-        """Zero-weight fingerprints cannot be MinHashed; they ride in
-        an unindexed side list and are still verified on every query —
-        the decision must equal the linear scan's (which, per the
-        Algorithm 3 edge case, lets an empty fingerprint match first)."""
-        params = IndexParams(linear_threshold=1)
-        database = IndexedFingerprintDatabase(params=params)
+        """Zero-weight fingerprints are scored like any other row — the
+        decision must equal the linear scan's (which, per the Algorithm
+        3 edge case, lets an empty fingerprint match first)."""
+        database = IndexedFingerprintDatabase()
         linear = FingerprintDatabase()
         for key, fingerprint in (
             ("empty", Fingerprint(bits=BitVector.zeros(NBITS))),
@@ -147,9 +132,8 @@ class TestSemantics:
     def test_update_reindexes(self):
         """After an Algorithm-4 style refinement the *new* fingerprint
         is what queries verify against."""
-        params = IndexParams(linear_threshold=1)
         rng = np.random.default_rng(3)
-        database = IndexedFingerprintDatabase(params=params)
+        database = IndexedFingerprintDatabase()
         original = Fingerprint(bits=BitVector.random(NBITS, rng, DENSITY))
         database.add("dev", original)
         refined = original.intersect(
@@ -161,14 +145,14 @@ class TestSemantics:
         assert result.matched and result.key == "dev"
 
     def test_delegation_from_core_identify(self):
-        """core.identify_error_string routes to the indexed fast path."""
-        params = IndexParams(linear_threshold=1)
-        database = IndexedFingerprintDatabase(params=params)
+        """core.identify_error_string routes to the packed fast path."""
+        database = IndexedFingerprintDatabase()
         bits = BitVector.from_indices(NBITS, range(30))
         database.add("dev", Fingerprint(bits=bits))
         result = identify_error_string(bits, database)
         assert result.matched and result.key == "dev"
-        assert database.metrics.counter("index.indexed_scans") == 1
+        assert database.metrics.counter("index.queries") == 1
+        assert database.metrics.counter("index.verifications") == 1
 
     def test_shared_metrics_instance(self):
         metrics = ServiceMetrics()
@@ -176,3 +160,57 @@ class TestSemantics:
         database.add("a", Fingerprint(bits=BitVector.from_indices(NBITS, [1])))
         database.identify_error_string(BitVector.from_indices(NBITS, [1]))
         assert metrics.counter("index.queries") == 1
+
+
+PROPERTY_NBITS = 70  # one full word plus a partial one
+
+property_bits = st.lists(
+    st.integers(min_value=0, max_value=PROPERTY_NBITS - 1), max_size=12
+).map(lambda indices: BitVector.from_indices(PROPERTY_NBITS, indices))
+property_keys = st.sampled_from([f"k{index}" for index in range(6)])
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), property_keys, property_bits),
+        st.tuples(st.just("update"), property_keys, property_bits),
+        st.tuples(st.just("remove"), property_keys),
+        st.tuples(
+            st.just("identify"), property_bits, st.sampled_from([0.1, 0.5, 1.0])
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations)
+def test_interleaved_operations_match_linear_scan(ops):
+    """Random add/update/remove/identify sequences: the packed database
+    answers exactly like core identification over a plain database."""
+    packed = IndexedFingerprintDatabase()
+    linear = FingerprintDatabase()
+    for op in ops:
+        if op[0] == "identify":
+            _, error_string, threshold = op
+            fast = packed.identify_error_string(error_string, threshold)
+            slow = identify_error_string(error_string, linear, threshold)
+            assert fast == slow
+            if error_string.any():
+                expected = [
+                    key
+                    for key, fingerprint in linear.items()
+                    if probable_cause_distance(error_string, fingerprint) < threshold
+                ]
+                assert packed.candidate_keys(error_string, threshold) == expected
+            continue
+        outcomes = []
+        for database in (packed, linear):
+            try:
+                if op[0] == "remove":
+                    database.remove(op[1])
+                else:
+                    getattr(database, op[0])(op[1], Fingerprint(bits=op[2]))
+                outcomes.append(None)
+            except KeyError as error:
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1]
+        assert packed.keys() == linear.keys()

@@ -151,7 +151,6 @@ class TestServiceMetrics:
         stats = metrics.stats()
         assert stats["counters"]["index.verifications"] == 20
         assert "identify.indexed" in stats["stages"]
-        assert abs(stats["candidate_reduction"] - 0.98) < 1e-9
 
     def test_stats_keys_are_sorted_and_versioned(self):
         from repro.service.metrics import STATS_SCHEMA_VERSION
@@ -173,9 +172,6 @@ class TestServiceMetrics:
         metrics.count("other", 3)
         block = metrics.counters_with_prefix("reliability.")
         assert list(block) == ["reliability.a", "reliability.z"]
-
-    def test_candidate_reduction_undefined_without_queries(self):
-        assert ServiceMetrics().candidate_reduction() is None
 
     def test_format_stats_mentions_percentiles(self):
         metrics = ServiceMetrics()
