@@ -20,6 +20,7 @@ from repro.bits import BitVector
 from repro.core import FingerprintDatabase, characterize_trials, probable_cause_distance
 from repro.core.fingerprint import Fingerprint
 from repro.dram import KM41464A, ChipFamily, DeviceSpec, TrialConditions, TrialResult
+from repro.reliability.durable import json_bytes, publish
 from repro.reliability.faults import StorageIO
 
 #: Version of the per-chip campaign checkpoint files.
@@ -268,13 +269,7 @@ def build_campaign_checkpointed(
             payload = _chip_checkpoint_payload(
                 params, chip_index, chip.label, fingerprint, trials
             )
-            data = (
-                json.dumps(payload, sort_keys=True) + "\n"
-            ).encode("utf-8")
-            tmp = directory / (path.name + ".tmp")
-            io_seam.write_bytes(tmp, data, sync=True)
-            io_seam.replace(tmp, path)
-            io_seam.fsync_dir(directory)
+            publish(io_seam, path, json_bytes(payload, sort_keys=True))
         else:
             fingerprint, trials = restored
         database.add(chip.label, fingerprint)

@@ -10,6 +10,9 @@ the store a real failure model and the tools to survive it:
   :class:`FaultPlan`, a deterministic chaos layer (crash at operation
   N, torn writes, seeded bit flips, transient error windows) the tests
   and the chaos benchmark use to enumerate crash points;
+* :mod:`repro.reliability.durable` — ``publish`` and ``Journal``, the
+  one durable-commit primitive every committed file goes through
+  (DESIGN.md §8, "Durable commits");
 * :mod:`repro.reliability.repair` — :func:`verify_store`, a strictly
   read-only ``fsck`` for a store directory, and :func:`repair_store`,
   the self-healing pass that salvages readable records out of corrupt
@@ -36,12 +39,9 @@ storage chaos layer: :class:`WorkerCrashPlan` /
 worker invocations so the supervisor's restart-and-escalate logic is
 testable crash by crash.
 
-The crash-safe write protocol itself (write-ahead journal, fsynced
-segments, atomic manifest swap, idempotent recovery) lives in
-:mod:`repro.service.store`; degraded-mode serving (retry with backoff,
-per-shard timeouts, ``degraded`` result tagging) in
-:mod:`repro.service.batch`.  CLI front ends: ``repro verify-store``
-and ``repro repair``.
+Degraded-mode serving (retry with backoff, per-shard timeouts,
+``degraded`` result tagging) lives in :mod:`repro.service.batch`.  CLI
+front ends: ``repro verify-store`` and ``repro repair``.
 """
 
 from repro.reliability.breaker import (

@@ -17,11 +17,10 @@ into an enumerable, reproducible test axis:
 * the RNG is seeded (``REPRO_FAULT_SEED`` in CI), so every crash point
   and every corruption pattern replays bit-for-bit.
 
-The real implementation, :class:`StorageIO`, is deliberately paranoid:
-data files are fsynced before they are visible, atomic replaces fsync
-the temporary first, and directory entries are fsynced after renames
-and removals — the classic power-cut checklist.  Tests assert the
-*ordering* of these operations through the recording counter.
+The commit discipline built on :class:`StorageIO` (fsync before
+publish, directory fsync after rename) lives in
+:mod:`repro.reliability.durable`; tests assert its *ordering* through
+the recording counter.
 """
 
 from __future__ import annotations
@@ -103,11 +102,9 @@ class FaultPlan:
 class StorageIO:
     """Durable filesystem primitives the fingerprint store builds on.
 
-    Every method is one *operation* in the fault-injection sense.  The
-    durability discipline lives here so the store logic never calls
-    ``os`` directly: a power cut between any two operations leaves the
-    store in a state :meth:`~repro.service.store.ShardedFingerprintStore.recover`
-    can resolve.
+    Every method is one *operation* in the fault-injection sense; the
+    commit discipline built from them lives in
+    :mod:`repro.reliability.durable`.
     """
 
     def write_bytes(self, path: PathLike, data: bytes, sync: bool = True) -> None:

@@ -48,7 +48,13 @@ from repro.core.serialize import (
 from repro.obs.clock import wall_time
 from repro.obs.trace import span as obs_span
 from repro.reliability.bloom import append_trailer, build_filter
+from repro.reliability.durable import Journal
+from repro.reliability.faults import StorageIO
 from repro.service.store import (
+    _COMPACTION_JOURNAL_NAME,
+    _JOURNAL_NAME,
+    _MANIFEST_NAME,
+    _SUPPORTED_VERSIONS,
     QuarantinedSegment,
     RecoveryReport,
     SegmentRecord,
@@ -56,10 +62,6 @@ from repro.service.store import (
     coalesce_runs,
 )
 
-_MANIFEST_NAME = "manifest.json"
-_JOURNAL_NAME = "ingest-journal.json"
-_COMPACTION_JOURNAL_NAME = "compaction-journal.json"
-_SUPPORTED_VERSIONS = (1, 2)
 _SECONDS_PER_DAY = 86400.0
 
 
@@ -279,24 +281,17 @@ def _verify_store_impl(root: Path) -> StoreVerification:
 
     # A pending compaction journal names merge sources and an output;
     # files it explains are recoverable findings, not data loss.
-    compaction_sources: set = set()
-    compaction_files: set = set()
-    compaction_path = root / _COMPACTION_JOURNAL_NAME
-    if compaction_path.exists():
-        verification.compaction_pending = True
-        try:
-            compaction_journal = json.loads(compaction_path.read_text())
-            compaction_sources = {
-                str(name) for name in compaction_journal.get("sources", [])
-            }
-            compaction_files = set(compaction_sources)
-            output_record = compaction_journal.get("output")
-            if isinstance(output_record, dict):
-                # The merge output may already be renamed into place
-                # without being published in the manifest yet.
-                compaction_files.add(str(output_record.get("filename")))
-        except (OSError, json.JSONDecodeError):
-            compaction_sources = set()  # torn journal: nothing planned
+    # A torn journal planned nothing.
+    compaction = Journal(StorageIO(), root / _COMPACTION_JOURNAL_NAME)
+    verification.compaction_pending = compaction.pending()
+    intent = compaction.read() or {}
+    compaction_sources = {str(name) for name in intent.get("sources", [])}
+    compaction_files = set(compaction_sources)
+    output_record = intent.get("output")
+    if isinstance(output_record, dict):
+        # The merge output may already be renamed into place without
+        # being published in the manifest yet.
+        compaction_files.add(str(output_record.get("filename")))
 
     for record in segments:
         entry = SegmentVerification(

@@ -18,14 +18,9 @@ make the scheme operable at fleet scale:
   lost capacity instead of the fleet size.
 
 Placement changes are durable state: :class:`PlacementStore` commits a
-new :class:`PlacementMap` through the same write-ahead protocol as
-ingest and compaction (journal durable first, then tmp-write + fsync +
-atomic rename + directory fsync, then journal retired), through the
-:class:`~repro.reliability.faults.StorageIO` seam so chaos tests can
-enumerate a crash at every single IO operation.  :meth:`PlacementStore.recover`
-is idempotent: a readable journal rolls the commit *forward* to the
-exact post-commit bytes, a torn journal rolls *back* to the exact
-pre-commit bytes — never a hybrid.
+new :class:`PlacementMap` through a
+:class:`~repro.reliability.durable.Journal`, like ingest and compaction
+(DESIGN.md §8, "Durable commits").
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.reliability.durable import Intent, Journal, discard, json_bytes, publish
 from repro.reliability.faults import StorageIO
 
 #: Current placement payload schema.
@@ -266,38 +262,20 @@ class PlacementMap:
 
 
 def canonical_json_bytes(payload: Dict[str, object]) -> bytes:
-    """Deterministic JSON encoding shared by commit and recovery.
-
-    Roll-forward must reproduce the commit's *exact* bytes, so both
-    paths serialize through this one function (sorted keys, fixed
-    separators, trailing newline).
-    """
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    """Deterministic JSON shared by commit and recovery, so a
+    roll-forward reproduces the commit's *exact* bytes."""
+    return json_bytes(payload, sort_keys=True, separators=(",", ":"))
 
 
 class PlacementStore:
     """Durable, journaled storage of the cluster's placement map.
 
-    Commit protocol (every step one :class:`StorageIO` operation, so a
-    fault plan can crash between — or during — any two of them):
-
-    1. write ``placement-journal.json`` holding the full new payload,
-       fsynced — the write-ahead intent;
-    2. fsync the cluster root directory (journal durably named);
-    3. write ``placement.json.tmp`` with the same payload, fsynced;
-    4. atomically rename tmp over ``placement.json``;
-    5. fsync the root directory (rename durable);
-    6. remove the journal (commit retired);
-    7. fsync the root directory.
-
-    A crash before step 2 completes leaves either no journal or a torn
-    one → :meth:`recover` rolls back (pre-commit bytes preserved).  A
-    crash at/after step 2 leaves a readable journal → :meth:`recover`
-    replays steps 3-7 from the journal payload, producing the exact
-    post-commit bytes.  Recovery is idempotent: with no journal it
-    touches nothing.
+    A commit is seven :class:`StorageIO` operations: the journal
+    (holding the full new payload) is begun (2), ``placement.json`` is
+    published (3), the journal is retired (2).  A fault before the
+    journal is durably named rolls back to the pre-commit bytes; any
+    later fault rolls forward to the exact post-commit bytes.
+    Recovery is idempotent: with no journal it touches nothing.
     """
 
     def __init__(
@@ -307,6 +285,7 @@ class PlacementStore:
     ) -> None:
         self._root = Path(root)
         self._io = storage_io if storage_io is not None else StorageIO()
+        self._journal = Journal(self._io, self._root / PLACEMENT_JOURNAL_NAME)
 
     @property
     def root(self) -> Path:
@@ -318,18 +297,13 @@ class PlacementStore:
         """Path of the committed placement map."""
         return self._root / PLACEMENT_NAME
 
-    @property
-    def journal_path(self) -> Path:
-        """Path of the write-ahead placement journal."""
-        return self._root / PLACEMENT_JOURNAL_NAME
-
     def exists(self) -> bool:
         """Whether a committed placement map is on disk."""
         return self.placement_path.exists()
 
     def journal_pending(self) -> bool:
         """Whether an unretired commit journal is on disk."""
-        return self.journal_path.exists()
+        return self._journal.pending()
 
     def load(self) -> PlacementMap:
         """Read and validate the committed placement map."""
@@ -349,71 +323,38 @@ class PlacementStore:
     def commit(self, placement: PlacementMap) -> None:
         """Durably replace the placement map with ``placement``."""
         payload = placement.to_payload()
-        data = canonical_json_bytes(payload)
-        journal = canonical_json_bytes(
-            {
-                "schema_version": PLACEMENT_SCHEMA_VERSION,
-                "kind": "placement-commit",
-                "version": placement.version,
-                "placement": payload,
-            }
+        self._journal.begin(
+            canonical_json_bytes(
+                {
+                    "schema_version": PLACEMENT_SCHEMA_VERSION,
+                    "kind": "placement-commit",
+                    "version": placement.version,
+                    "placement": payload,
+                }
+            )
         )
-        self._io.write_bytes(self.journal_path, journal, sync=True)
-        self._io.fsync_dir(self._root)
-        self._publish(data)
-        self._retire_journal()
-
-    def _publish(self, data: bytes) -> None:
-        """Steps 3-5: tmp write, atomic rename, directory fsync."""
-        tmp = self._root / PLACEMENT_TMP_NAME
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, self.placement_path)
-        self._io.fsync_dir(self._root)
-
-    def _retire_journal(self) -> None:
-        """Steps 6-7: drop the journal and sync the directory."""
-        self._io.remove(self.journal_path)
-        self._io.fsync_dir(self._root)
+        publish(self._io, self.placement_path, canonical_json_bytes(payload))
+        self._journal.retire()
 
     def recover(self) -> str:
-        """Resolve an interrupted commit; returns the action taken.
+        """Resolve an interrupted commit: ``"clean"`` (nothing pending;
+        a stray tmp is swept), ``"rolled_forward"`` or ``"rolled_back"``."""
+        def verify(intent: Intent) -> bool:
+            # A journal that parses but does not describe a placement
+            # is foreign: it rolls back instead of replaying.
+            try:
+                PlacementMap.from_payload(intent["placement"])
+            except (PlacementError, KeyError, TypeError, ValueError, AttributeError):
+                return False
+            return intent.get("kind") == "placement-commit"
 
-        ``"clean"`` — no journal, nothing to do (stray tmp swept);
-        ``"rolled_forward"`` — readable journal replayed to the exact
-        post-commit bytes; ``"rolled_back"`` — torn journal discarded,
-        pre-commit bytes untouched.  Idempotent: a second call after
-        any outcome returns ``"clean"`` and changes no bytes.
-        """
-        tmp = self._root / PLACEMENT_TMP_NAME
-        if not self.journal_path.exists():
-            if tmp.exists():
-                self._io.remove(tmp)
-                self._io.fsync_dir(self._root)
+        def forward(intent: Intent) -> None:
+            data = canonical_json_bytes(intent["placement"])
+            publish(self._io, self.placement_path, data)
+
+        outcome = self._journal.recover(verify, forward)
+        # A rolled-back (or never journaled) commit may leave its tmp.
+        discard(self._io, [self._root / PLACEMENT_TMP_NAME])
+        if outcome is None:
             return "clean"
-        payload: Optional[Dict[str, object]] = None
-        try:
-            raw = self._io.read_bytes(self.journal_path)
-            decoded = json.loads(raw.decode("utf-8"))
-            if (
-                isinstance(decoded, dict)
-                and decoded.get("kind") == "placement-commit"
-                and isinstance(decoded.get("placement"), dict)
-            ):
-                # Validate before replaying: a journal that parses but
-                # does not describe a placement must roll back.
-                PlacementMap.from_payload(decoded["placement"])
-                payload = decoded["placement"]
-        except (UnicodeDecodeError, json.JSONDecodeError, PlacementError,
-                KeyError, TypeError, ValueError):
-            payload = None
-        if payload is None:
-            # Torn or foreign journal: the intent never became durable
-            # as a fact, so the commit never happened.  Pre-commit
-            # bytes stay exactly as they were.
-            if tmp.exists():
-                self._io.remove(tmp)
-            self._retire_journal()
-            return "rolled_back"
-        self._publish(canonical_json_bytes(payload))
-        self._retire_journal()
-        return "rolled_forward"
+        return "rolled_forward" if outcome else "rolled_back"

@@ -36,12 +36,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import BitVector
+from repro.reliability.durable import json_bytes, publish
 from repro.reliability.faults import StorageIO
 from repro.service.store import ShardedFingerprintStore
 
 #: Sidecar file in every partition directory: key → global sequence.
 SEQUENCE_MAP_NAME = "sequence-map.json"
-_SEQUENCE_MAP_TMP = "sequence-map.json.tmp"
 
 #: Subdirectory of the cluster root holding per-worker state.
 WORKERS_DIR_NAME = "workers"
@@ -74,17 +74,16 @@ def write_sequence_map(
     sequences: Dict[str, int],
     storage_io: Optional[StorageIO] = None,
 ) -> None:
-    """Durably write the key → global-sequence sidecar (tmp + rename)."""
-    io = storage_io if storage_io is not None else StorageIO()
+    """Durably publish the key → global-sequence sidecar."""
     payload = {
         "schema_version": 1,
         "sequences": {key: int(seq) for key, seq in sorted(sequences.items())},
     }
-    data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    tmp = Path(directory) / _SEQUENCE_MAP_TMP
-    io.write_bytes(tmp, data, sync=True)
-    io.replace(tmp, Path(directory) / SEQUENCE_MAP_NAME)
-    io.fsync_dir(directory)
+    publish(
+        storage_io if storage_io is not None else StorageIO(),
+        Path(directory) / SEQUENCE_MAP_NAME,
+        json_bytes(payload, sort_keys=True),
+    )
 
 
 def read_sequence_map(

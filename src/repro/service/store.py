@@ -26,17 +26,13 @@ across shards: per-shard answers carry the sequence of their match and
 the merge step takes the minimum — identical to a linear scan over one
 big database in ingest order.
 
-Ingest is **crash-safe**: a write-ahead journal naming the planned
-segments is made durable before any segment byte lands, every file is
-fsynced before the manifest swap publishes it, the swap itself is an
-fsync + atomic ``os.replace`` + directory fsync, and the journal is
-only then retired.  :meth:`ShardedFingerprintStore.recover` (run
-automatically on open) resolves any crash point by rolling the journal
-forward (all planned segments verified on disk) or back (planned files
-deleted) — never a hybrid, and never touching previously committed
-segments.  All filesystem traffic goes through a
-:class:`repro.reliability.faults.StorageIO` seam so the chaos tests
-can enumerate crash points deterministically.
+Ingest is **crash-safe**: it commits through a write-ahead
+:class:`~repro.reliability.durable.Journal` (DESIGN.md §8, "Durable
+commits"), and :meth:`ShardedFingerprintStore.recover` — run on open —
+resolves any crash point to exactly the pre- or post-ingest store,
+never touching previously committed segments.  All filesystem traffic
+goes through a :class:`repro.reliability.faults.StorageIO` seam so the
+chaos tests can enumerate crash points deterministically.
 
 Shards load lazily into :class:`IndexedFingerprintDatabase` replicas
 and are cached; :class:`~repro.service.metrics.ServiceMetrics` counts
@@ -49,11 +45,9 @@ Two scale features ride on top of the append-only core:
   can answer point queries on a cold shard without reading every
   segment body;
 * :meth:`ShardedFingerprintStore.commit_compaction` merges segments
-  through its own write-ahead **compaction journal** — journal →
-  output segment (tmp + fsync + atomic rename) → manifest swap →
-  source deletion → journal retirement — so background compaction
-  (see :mod:`repro.reliability.compaction`) inherits the same
-  crash-anywhere recovery guarantees as ingest.  Compacted segments
+  through its own write-ahead **compaction journal**, so background
+  compaction (see :mod:`repro.reliability.compaction`) inherits the
+  same crash-anywhere recovery guarantees as ingest.  Compacted segments
   record their surviving global sequences as ``runs``; sequence spans
   whose records were dropped (tombstoned devices) move to the
   manifest's ``reclaimed`` list so the sequence space stays fully
@@ -80,12 +74,20 @@ from repro.reliability.bloom import (
     build_filter,
     load_segment_bloom,
 )
+from repro.reliability.durable import (
+    Intent,
+    Journal,
+    create,
+    discard,
+    json_bytes,
+    publish,
+    temporary,
+)
 from repro.reliability.faults import StorageIO
 from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import ServiceMetrics
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_TMP_NAME = "manifest.json.tmp"
 _JOURNAL_NAME = "ingest-journal.json"
 _COMPACTION_JOURNAL_NAME = "compaction-journal.json"
 _QUARANTINE_DIR = "quarantine"
@@ -345,19 +347,15 @@ class ShardedFingerprintStore:
         return payload
 
     def _write_manifest(self) -> None:
-        """Durably publish the in-memory manifest state.
-
-        fsync the temporary before the atomic replace (so a power cut
-        can never publish a manifest whose bytes are not on disk) and
-        fsync the directory after it (so the rename itself survives).
-        """
-        payload = self._manifest_payload()
-        path = self._root / _MANIFEST_NAME
-        tmp = self._root / _MANIFEST_TMP_NAME
-        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, path)
-        self._io.fsync_dir(self._root)
+        """Durably publish the in-memory manifest state."""
+        data = json_bytes(self._manifest_payload(), indent=2, sort_keys=True)
+        try:
+            publish(self._io, self._root / _MANIFEST_NAME, data)
+        except OSError:
+            # Disk may hold either manifest: refuse further mutation
+            # from this handle until recovery re-reads it.
+            self._needs_recovery = True
+            raise
 
     # ------------------------------------------------------------------
     # Introspection
@@ -522,10 +520,8 @@ class ShardedFingerprintStore:
         boundaries from the batch's sorted keys.  Keys already present
         in the store (or repeated within the batch) are rejected.
 
-        The write protocol — journal, then segments, then the manifest
-        swap, then journal retirement, every step durable — means a
-        crash at any point either commits the whole batch or none of
-        it; previously committed fingerprints are never at risk.
+        The batch commits through a journal: a crash at any point
+        commits all of it or none of it.
         """
         self._check_serviceable()
         if isinstance(entries, FingerprintDatabase):
@@ -592,10 +588,6 @@ class ShardedFingerprintStore:
             self._needs_recovery = True
             raise
 
-        created = [record for record, _data in planned]
-        self._segments.extend(created)
-        self._boundaries = new_boundaries
-        self._next_sequence += len(batch)
         for record, _data in planned:
             cached = self._cache.get(record.shard)
             if cached is None:
@@ -604,7 +596,7 @@ class ShardedFingerprintStore:
             for sequence, key, fingerprint in per_shard[record.shard]:
                 cached.database.add(key, fingerprint)
                 cached.sequences[key] = sequence
-        return created
+        return [record for record, _data in planned]
 
     def _commit_ingest(
         self,
@@ -612,116 +604,98 @@ class ShardedFingerprintStore:
         new_boundaries: List[str],
         batch_size: int,
     ) -> None:
-        """The durable half of :meth:`ingest` — journal → segments →
-        manifest swap → journal retirement, every step fsynced."""
-        journal = {
-            "version": 1,
-            "next_sequence_before": self._next_sequence,
-            "next_sequence_after": self._next_sequence + batch_size,
-            "boundaries": new_boundaries,
-            "planned": [record.to_json() for record, _data in planned],
-        }
-        journal_data = (json.dumps(journal, indent=2) + "\n").encode("utf-8")
-        self._io.write_bytes(self.journal_path, journal_data, sync=True)
-        self._io.fsync_dir(self._root)
-
+        """The durable half of :meth:`ingest`: journal, segments (each
+        with its shard directory), manifest, retirement.  A failure
+        leaves the handle for :meth:`recover` to re-read from disk."""
+        journal = Journal(self._io, self.journal_path)
+        journal.begin(
+            json_bytes(
+                {
+                    "version": 1,
+                    "next_sequence_before": self._next_sequence,
+                    "next_sequence_after": self._next_sequence + batch_size,
+                    "boundaries": new_boundaries,
+                    "planned": [record.to_json() for record, _data in planned],
+                },
+                indent=2,
+            )
+        )
         for record, data in planned:
             path = self._root / record.filename
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._io.write_bytes(path, data, sync=True)
-
-        manifest = self._manifest_payload()
-        manifest["segments"] = [
-            segment.to_json() for segment in self._segments
-        ] + [record.to_json() for record, _data in planned]
-        manifest["boundaries"] = new_boundaries
-        manifest["next_sequence"] = self._next_sequence + batch_size
-        data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        tmp = self._root / _MANIFEST_TMP_NAME
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, self._root / _MANIFEST_NAME)
-        self._io.fsync_dir(self._root)
-
-        self._io.remove(self.journal_path)
-        self._io.fsync_dir(self._root)
+            create(self._io, path, data)
+        self._segments.extend(record for record, _data in planned)
+        self._boundaries = new_boundaries
+        self._next_sequence += batch_size
+        self._write_manifest()
+        journal.retire()
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
     def recover(self) -> RecoveryReport:
-        """Resolve any interrupted ingest; idempotent, safe to re-run.
+        """Resolve interrupted commits; idempotent, safe to re-run.
 
-        Re-reads the manifest from disk, then: a journal whose batch
-        already reached the manifest is simply retired ("committed"); a
-        journal whose planned segments all exist and verify is rolled
-        forward (manifest rewritten to include them); anything else is
-        rolled back (planned files deleted).  A pending *compaction*
-        journal resolves by the same rule: output verified on disk →
-        roll the merge forward (manifest transform + source deletion),
-        otherwise roll back (output deleted, sources untouched); a
-        merge whose manifest swap already landed just finishes source
-        cleanup.  Finally, segment files referenced by neither the
-        manifest nor quarantine — orphans from a pre-journal crash or
-        a torn rollback — are swept, along with stale ``.tmp``
-        temporaries.  Committed fingerprints are never touched.
+        Re-reads the manifest, then resolves a pending ingest journal
+        and a pending compaction journal by the one rule of
+        :class:`~repro.reliability.durable.Journal`: forward when the
+        batch (or merge) already reached the manifest or its new
+        segments verify on disk, back (new files deleted) otherwise.
+        Finally, segment files referenced by neither the manifest nor
+        quarantine — orphans from a pre-journal crash or a torn
+        rollback — are swept, along with stale ``.tmp`` temporaries.
+        Committed fingerprints are never touched.
         """
         report = RecoveryReport()
         manifest_path = self._root / _MANIFEST_NAME
         if manifest_path.exists():
             self._apply_manifest(self._read_manifest(manifest_path))
-        journal = None
-        if self.journal_path.exists():
-            report.journal_found = True
-            try:
-                journal = json.loads(
-                    self._io.read_bytes(self.journal_path).decode("utf-8")
-                )
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                journal = None  # torn journal write: nothing was planned yet
-        if journal is not None:
-            planned = [
-                SegmentRecord.from_json(record) for record in journal["planned"]
-            ]
-            if self._next_sequence >= int(journal["next_sequence_after"]):
+        journal = Journal(self._io, self.journal_path)
+        report.journal_found = journal.pending()
+
+        def landed(intent: Intent) -> bool:
+            return self._next_sequence >= int(intent["next_sequence_after"])
+
+        def forward(intent: Intent) -> None:
+            if landed(intent):
                 report.action = "committed"
                 report.detail = "manifest swap had already completed"
-            elif all(self._segment_verifies(record) for record in planned):
-                self._segments.extend(planned)
-                self._boundaries = [str(b) for b in journal["boundaries"]]
-                self._next_sequence = int(journal["next_sequence_after"])
-                self._write_manifest()
-                report.action = "rolled_forward"
-                report.detail = (
-                    f"replayed {len(planned)} planned segment(s) into the manifest"
-                )
-                self._metrics.count("store.recovery_rolled_forward")
-            else:
-                for record in planned:
-                    path = self._root / record.filename
-                    if path.exists():
-                        self._io.remove(path)
-                report.action = "rolled_back"
-                report.detail = (
-                    f"dropped {len(planned)} incomplete planned segment(s)"
-                )
-                self._metrics.count("store.recovery_rolled_back")
-        elif report.journal_found:
+                return
+            planned = _planned(intent)
+            self._segments.extend(planned)
+            self._boundaries = [str(b) for b in intent["boundaries"]]
+            self._next_sequence = int(intent["next_sequence_after"])
+            self._write_manifest()
+            report.action = "rolled_forward"
+            report.detail = (
+                f"replayed {len(planned)} planned segment(s) into the manifest"
+            )
+            self._metrics.count("store.recovery_rolled_forward")
+
+        def back(intent: Optional[Intent]) -> None:
             report.action = "rolled_back"
             report.detail = "journal itself was torn; no segments were planned"
             self._metrics.count("store.recovery_rolled_back")
-        if report.journal_found:
-            if self.journal_path.exists():
-                self._io.remove(self.journal_path)
-            self._io.fsync_dir(self._root)
+            if intent is not None:
+                planned = _planned(intent)
+                discard(self._io, [self._root / r.filename for r in planned])
+                report.detail = (
+                    f"dropped {len(planned)} incomplete planned segment(s)"
+                )
+
+        if journal.recover(
+            lambda intent: landed(intent)
+            or all(map(self._segment_verifies, _planned(intent))),
+            forward,
+            back,
+        ) is not None:
             self._metrics.count("store.recoveries")
         self._recover_compaction(report)
         # Sweep leftovers: a stale manifest temporary, any segment
         # file no manifest entry references, and segment temporaries a
         # crashed compaction left beside its output.
-        tmp = self._root / _MANIFEST_TMP_NAME
-        if tmp.exists():
-            self._io.remove(tmp)
+        discard(self._io, [temporary(manifest_path)])
         referenced = {record.filename for record in self._segments}
         for orphan in sorted(self._root.glob("shard-*/*.pcfp")):
             relative = orphan.relative_to(self._root).as_posix()
@@ -747,61 +721,42 @@ class ShardedFingerprintStore:
 
     def _recover_compaction(self, report: RecoveryReport) -> None:
         """Resolve a pending compaction journal into ``report``."""
-        journal = None
-        if self.compaction_journal_path.exists():
-            report.compaction_journal_found = True
-            try:
-                journal = json.loads(
-                    self._io.read_bytes(self.compaction_journal_path).decode(
-                        "utf-8"
-                    )
-                )
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                journal = None  # torn journal write: nothing was planned
-        if journal is not None:
-            sources = [str(name) for name in journal["sources"]]
-            output = (
-                SegmentRecord.from_json(journal["output"])
-                if journal["output"] is not None
-                else None
-            )
-            reclaimed = [
-                (int(start), int(count))
-                for start, count in journal.get("reclaimed", [])
-            ]
-            cleared = [str(key) for key in journal.get("cleared_tombstones", [])]
+        journal = Journal(self._io, self.compaction_journal_path)
+        report.compaction_journal_found = journal.pending()
+
+        def swapped(intent: Intent) -> bool:
+            # Sources gone from the manifest: only their cleanup remained.
             live = {record.filename for record in self._segments}
-            if all(name in live for name in sources):
-                # Manifest swap never landed: the merge output decides.
-                if output is None or self._segment_verifies(output):
-                    self._apply_compaction(sources, output, reclaimed, cleared)
-                    self._write_manifest()
-                    for name in sources:
-                        path = self._root / name
-                        if path.exists():
-                            self._io.remove(path)
-                    report.compaction_action = "compaction_rolled_forward"
-                    self._metrics.count("store.compaction_recovered_forward")
-                else:
-                    if output is not None:
-                        path = self._root / output.filename
-                        if path.exists():
-                            self._io.remove(path)
-                    report.compaction_action = "compaction_rolled_back"
-                    self._metrics.count("store.compaction_recovered_back")
-            else:
-                # Manifest swap completed; only source cleanup remained.
-                for name in sources:
-                    path = self._root / name
-                    if path.exists():
-                        self._io.remove(path)
-                report.compaction_action = "compaction_committed"
-        elif report.compaction_journal_found:
+            return not all(str(name) in live for name in intent["sources"])
+
+        def verify(intent: Intent) -> bool:
+            output = _compaction_output(intent)
+            return swapped(intent) or output is None or self._segment_verifies(output)
+
+        def forward(intent: Intent) -> None:
+            sources = [str(name) for name in intent["sources"]]
+            report.compaction_action = "compaction_committed"
+            if not swapped(intent):
+                self._apply_compaction(
+                    sources,
+                    _compaction_output(intent),
+                    [(int(start), int(n)) for start, n in intent.get("reclaimed", [])],
+                    [str(key) for key in intent.get("cleared_tombstones", [])],
+                )
+                self._write_manifest()
+                report.compaction_action = "compaction_rolled_forward"
+                self._metrics.count("store.compaction_recovered_forward")
+            discard(self._io, [self._root / name for name in sources])
+
+        def back(intent: Optional[Intent]) -> None:
             report.compaction_action = "compaction_rolled_back"
-        if report.compaction_journal_found:
-            if self.compaction_journal_path.exists():
-                self._io.remove(self.compaction_journal_path)
-            self._io.fsync_dir(self._root)
+            output = _compaction_output(intent) if intent is not None else None
+            if output is not None:
+                discard(self._io, [self._root / output.filename])
+            if intent is not None:
+                self._metrics.count("store.compaction_recovered_back")
+
+        if journal.recover(verify, forward, back) is not None:
             self._metrics.count("store.recoveries")
 
     def take_recovery_report(self) -> Optional[RecoveryReport]:
@@ -906,11 +861,7 @@ class ShardedFingerprintStore:
         if not located:
             return {}
         self._tombstones.update(located)
-        try:
-            self._write_manifest()
-        except OSError:
-            self._needs_recovery = True
-            raise
+        self._write_manifest()
         for key in located:
             cached = self._cache.get(self.shard_for_key(key))
             if cached is not None and key in cached.sequences:
@@ -961,11 +912,9 @@ class ShardedFingerprintStore:
     ) -> None:
         """Durably replace ``sources`` with one merged ``output`` segment.
 
-        The write protocol mirrors ingest, with its own journal so the
-        two can crash independently: (1) compaction journal durable →
-        (2) output written to ``.tmp``, fsynced, atomically renamed
-        into place → (3) manifest swap publishes the merge → (4)
-        source files deleted → (5) journal retired.  A crash at any
+        Journaled like ingest, with its own journal so the two can
+        crash independently: the output segment and then the manifest
+        are published, then the sources are discarded.  A crash at any
         step is resolved by :meth:`recover` into exactly the pre- or
         post-merge store, never a hybrid.  ``output=None`` commits a
         merge that dropped every record (a manifest-only change).
@@ -992,42 +941,32 @@ class ShardedFingerprintStore:
                     f"output filename {output.filename} is already live"
                 )
         source_filenames = [record.filename for record in sources]
-        journal = {
-            "version": 1,
-            "shard": sources[0].shard,
-            "sources": source_filenames,
-            "output": output.to_json() if output is not None else None,
-            "reclaimed": [list(run) for run in reclaimed],
-            "cleared_tombstones": sorted(cleared_tombstones),
-        }
+        journal = Journal(self._io, self.compaction_journal_path)
         try:
-            journal_data = (json.dumps(journal, indent=2) + "\n").encode("utf-8")
-            self._io.write_bytes(
-                self.compaction_journal_path, journal_data, sync=True
+            journal.begin(
+                json_bytes(
+                    {
+                        "version": 1,
+                        "shard": sources[0].shard,
+                        "sources": source_filenames,
+                        "output": output.to_json() if output is not None else None,
+                        "reclaimed": [list(run) for run in reclaimed],
+                        "cleared_tombstones": sorted(cleared_tombstones),
+                    },
+                    indent=2,
+                )
             )
-            self._io.fsync_dir(self._root)
-
             if output is not None and data is not None:
                 path = self._root / output.filename
                 path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.parent / (path.name + ".tmp")
-                self._io.write_bytes(tmp, data, sync=True)
-                self._io.replace(tmp, path)
-                self._io.fsync_dir(path.parent)
+                publish(self._io, path, data)
 
             self._apply_compaction(
                 source_filenames, output, reclaimed, cleared_tombstones
             )
             self._write_manifest()
-
-            for record in sources:
-                source_path = self._root / record.filename
-                if source_path.exists():
-                    self._io.remove(source_path)
-            self._io.fsync_dir(self._root / f"shard-{sources[0].shard:03d}")
-
-            self._io.remove(self.compaction_journal_path)
-            self._io.fsync_dir(self._root)
+            discard(self._io, [self._root / name for name in source_filenames])
+            journal.retire()
         except OSError:
             # Disk state is at an unknown point of the protocol; block
             # further mutation from this handle until recovery runs.
@@ -1078,12 +1017,12 @@ class ShardedFingerprintStore:
             new_record, data = replacement
             path = self._root / new_record.filename
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._io.write_bytes(path, data, sync=True)
+            create(self._io, path, data)
         source = self._root / record.filename
         if source.exists():
             # This replace archives the *damaged* segment as evidence; it
             # never publishes freshly written bytes (the salvage payload
-            # above is written sync=True before the manifest flips).
+            # above is created durably before the manifest flips).
             self._io.replace(  # repro-lint: disable=REP009 -- evidence move, not a durable publish
                 source, self._quarantine_destination(record.filename)
             )
@@ -1125,16 +1064,8 @@ class ShardedFingerprintStore:
             else:
                 spans.append((record.start_sequence, record.original_count))
         self._reclaimed = coalesce_runs(self._reclaimed + spans)
-        try:
-            self._write_manifest()
-        except OSError:
-            self._needs_recovery = True
-            raise
-        self._metrics.count("store.quarantine_pruned", len(entries))
-
-    def rewrite_manifest(self) -> None:
-        """Durably re-publish the current in-memory manifest state."""
         self._write_manifest()
+        self._metrics.count("store.quarantine_pruned", len(entries))
 
     # ------------------------------------------------------------------
     # Reading
@@ -1288,6 +1219,17 @@ class ShardedFingerprintStore:
             )
         rows.sort()
         return [key for _sequence, key in rows]
+
+
+def _planned(intent: Intent) -> List[SegmentRecord]:
+    """The segments an ingest journal plans."""
+    return [SegmentRecord.from_json(record) for record in intent["planned"]]
+
+
+def _compaction_output(intent: Intent) -> Optional[SegmentRecord]:
+    """The merge output a compaction journal names (None: all dropped)."""
+    output = intent["output"]
+    return SegmentRecord.from_json(output) if output is not None else None
 
 
 def coalesce_runs(runs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -30,9 +30,9 @@ batch engine into a supervised, long-running pipeline:
   re-paying the retry budget every batch, so the stream degrades
   instead of stalling.
 * **Checkpointed resume** — at batch boundaries the pipeline appends
-  its buffered results/quarantine lines (fsynced) and atomically
-  replaces ``checkpoint.json`` (processed offset, clusterer state,
-  breaker states, counters).  ``run(..., resume=True)`` truncates any
+  its buffered results/quarantine lines (fsynced) and publishes
+  ``checkpoint.json`` (processed offset, clusterer state, breaker
+  states, counters).  ``run(..., resume=True)`` truncates any
   torn tail past the checkpoint and replays from the recorded offset:
   every observation is processed **exactly once**, and the results
   file of an interrupted-then-resumed run is byte-identical to an
@@ -73,6 +73,7 @@ from repro.core.cluster import OnlineClusterer
 from repro.core.distance import DEFAULT_THRESHOLD
 from repro.obs.trace import span as obs_span
 from repro.reliability.breaker import BreakerBoard
+from repro.reliability.durable import Intent, Journal, json_bytes, publish
 from repro.reliability.faults import StorageIO
 from repro.service.batch import (
     SCHEMA_VERSION,
@@ -112,7 +113,7 @@ RESULTS_NAME = "results.jsonl"
 QUARANTINE_NAME = "quarantine.jsonl"
 FATAL_NAME = "fatal.json"
 REPORT_NAME = "report.json"
-_CHECKPOINT_TMP = "checkpoint.json.tmp"
+RETRY_JOURNAL_NAME = "retry-journal.json"
 
 #: Largest observation ``nbits`` the validator admits by default.
 DEFAULT_MAX_NBITS = 1 << 26
@@ -411,9 +412,7 @@ def _canonical_line(payload: Dict[str, object]) -> bytes:
     checkable: an interrupted-and-resumed run must reproduce the
     uninterrupted run's results file *byte for byte*.
     """
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return json_bytes(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -798,23 +797,12 @@ class StreamingIdentificationService:
         path = self.checkpoint_path
         if not path.exists():
             raise StreamError(f"no checkpoint at {path}; nothing to resume")
-        try:
-            payload = json.loads(self._io.read_bytes(path).decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise StreamError(
-                f"unreadable checkpoint at {path}: {error}"
-            ) from error
-        return StreamCheckpoint.from_json(payload)
+        return _read_checkpoint(self._io, path)
 
-    def _write_checkpoint(self, checkpoint: StreamCheckpoint) -> None:
-        data = (
-            json.dumps(checkpoint.to_json(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
-        tmp = self._state_dir / _CHECKPOINT_TMP
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, self.checkpoint_path)
-        self._io.fsync_dir(self._state_dir)
-        self._metrics.count("stream.checkpoints")
+    def _publish(self, name: str, payload: Dict[str, object]) -> None:
+        """Publish ``checkpoint.json``, ``fatal.json`` or ``report.json``."""
+        data = json_bytes(payload, indent=2, sort_keys=True)
+        publish(self._io, self._state_dir / name, data)
 
     def _flush_and_checkpoint(self, offset: int, completed: bool) -> None:
         """Append buffered lines durably, then publish the checkpoint.
@@ -838,7 +826,8 @@ class StreamingIdentificationService:
             self._io.append_bytes(self.quarantine_path, data, sync=True)
             self._quarantine_bytes += len(data)
             self._pending_quarantine.clear()
-        self._write_checkpoint(
+        self._publish(
+            CHECKPOINT_NAME,
             StreamCheckpoint(
                 offset=offset,
                 results_bytes=self._results_bytes,
@@ -855,8 +844,9 @@ class StreamingIdentificationService:
                     else {}
                 ),
                 completed=completed,
-            )
+            ).to_json(),
         )
+        self._metrics.count("stream.checkpoints")
 
     def _truncate_to(self, path: Path, size: int) -> None:
         if not path.exists():
@@ -874,15 +864,6 @@ class StreamingIdentificationService:
             )
         if actual > size:
             self._io.truncate(path, size)
-
-    def _write_fatal(self, report: Dict[str, object]) -> None:
-        data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
-        tmp = self._state_dir / (FATAL_NAME + ".tmp")
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, self._state_dir / FATAL_NAME)
-        self._io.fsync_dir(self._state_dir)
 
     # -- ingest side ---------------------------------------------------
 
@@ -1015,7 +996,7 @@ class StreamingIdentificationService:
                     # this window, persist the post-mortem, and stop at
                     # the last good boundary.
                     fatal = escalation.fatal_report()
-                    self._write_fatal(fatal)
+                    self._publish(FATAL_NAME, fatal)
                     self._flush_and_checkpoint(consumed, completed=False)
                     status = "failed"
                     break
@@ -1076,10 +1057,11 @@ class StreamingIdentificationService:
             fatal=fatal,
             stats=self._metrics.stats(),
         )
-        self._write_report(report)
+        self._publish(REPORT_NAME, report.to_json())
         return report
 
     def _prepare_state(self, resume: bool) -> int:
+        _recover_retry(self._state_dir, self._io)
         if resume:
             checkpoint = self.load_checkpoint()
             self._truncate_to(self.results_path, checkpoint.results_bytes)
@@ -1160,15 +1142,6 @@ class StreamingIdentificationService:
             self._metrics.count("stream.results")
         return report
 
-    def _write_report(self, report: StreamReport) -> None:
-        data = (
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
-        tmp = self._state_dir / (REPORT_NAME + ".tmp")
-        self._io.write_bytes(tmp, data, sync=True)
-        self._io.replace(tmp, self._state_dir / REPORT_NAME)
-        self._io.fsync_dir(self._state_dir)
-
 
 # ----------------------------------------------------------------------
 # Push mode
@@ -1247,11 +1220,15 @@ def list_quarantine(
     state_dir: Union[str, Path],
     storage_io: Optional[StorageIO] = None,
 ) -> List[QuarantineEntry]:
-    """Parse every entry of a state directory's quarantine file."""
+    """Parse every entry of a state directory's quarantine file.
+
+    A quarantine retry a crash interrupted is resolved first.
+    """
+    io_seam = storage_io if storage_io is not None else StorageIO()
+    _recover_retry(Path(state_dir), io_seam)
     path = Path(state_dir) / QUARANTINE_NAME
     if not path.exists():
         return []
-    io_seam = storage_io if storage_io is not None else StorageIO()
     entries: List[QuarantineEntry] = []
     for line in io_seam.read_bytes(path).decode("utf-8").splitlines():
         line = line.strip()
@@ -1295,10 +1272,11 @@ def retry_quarantine(
     validate are identified against the store and appended to the
     stream's results file under their original offsets; the rest stay
     quarantined (entries whose raw record was stored truncated can
-    never revalidate and always stay).  The quarantine file is
-    rewritten atomically, and a present checkpoint has its byte
-    accounts updated so a later ``--resume`` does not truncate the
-    retried work away.
+    never revalidate and always stay).  The results append, the
+    quarantine rewrite and the checkpoint's byte accounts (updated so a
+    later ``--resume`` does not truncate the retried work away) commit
+    as one :class:`~repro.reliability.durable.Journal` intent, so a
+    crash anywhere leaves the retry wholly undone or wholly done.
     """
     state = Path(state_dir)
     io_seam = storage_io if storage_io is not None else StorageIO()
@@ -1350,32 +1328,72 @@ def retry_quarantine(
                     }
                 )
             )
-        io_seam.append_bytes(state / RESULTS_NAME, b"".join(lines), sync=True)
-
-    # Rewrite the quarantine file without the retried entries.
-    remaining_data = b"".join(entry.line() for entry in remaining)
-    tmp = state / (QUARANTINE_NAME + ".tmp")
-    io_seam.write_bytes(tmp, remaining_data, sync=True)
-    io_seam.replace(tmp, state / QUARANTINE_NAME)
-    io_seam.fsync_dir(state)
-
-    checkpoint_path = state / CHECKPOINT_NAME
-    if checkpoint_path.exists():
-        payload = json.loads(io_seam.read_bytes(checkpoint_path).decode("utf-8"))
-        checkpoint = StreamCheckpoint.from_json(payload)
-        checkpoint.results_bytes = (state / RESULTS_NAME).stat().st_size
-        checkpoint.quarantine_bytes = len(remaining_data)
-        data = (
-            json.dumps(checkpoint.to_json(), indent=2, sort_keys=True) + "\n"
-        ).encode("utf-8")
-        tmp = state / _CHECKPOINT_TMP
-        io_seam.write_bytes(tmp, data, sync=True)
-        io_seam.replace(tmp, checkpoint_path)
-        io_seam.fsync_dir(state)
+        results = b"".join(lines)
+        base = _size(state / RESULTS_NAME)
+        remaining_data = b"".join(entry.line() for entry in remaining)
+        checkpoint = None
+        if (state / CHECKPOINT_NAME).exists():
+            checkpoint = _read_checkpoint(io_seam, state / CHECKPOINT_NAME)
+            checkpoint.results_bytes = base + len(results)
+            checkpoint.quarantine_bytes = len(remaining_data)
+        intent: Intent = {
+            "version": 1,
+            "results_bytes": base,
+            "results": results.decode("utf-8"),
+            "quarantine": remaining_data.decode("utf-8"),
+            "checkpoint": checkpoint.to_json() if checkpoint else None,
+        }
+        journal = Journal(io_seam, state / RETRY_JOURNAL_NAME)
+        journal.begin(_canonical_line(intent))
+        _apply_retry(state, io_seam, intent)
+        journal.retire()
 
     return QuarantineRetryReport(
         retried=len(retriable),
         still_quarantined=len(remaining),
         matched=matched,
         unmatched=unmatched,
+    )
+
+
+def _size(path: Path) -> int:
+    """Length of ``path`` in bytes (0 when absent)."""
+    return path.stat().st_size if path.exists() else 0
+
+
+def _read_checkpoint(io: StorageIO, path: Path) -> StreamCheckpoint:
+    """Read and validate one ``checkpoint.json``."""
+    try:
+        payload = json.loads(io.read_bytes(path).decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise StreamError(f"unreadable checkpoint at {path}: {error}") from error
+    return StreamCheckpoint.from_json(payload)
+
+
+def _apply_retry(state: Path, io: StorageIO, intent: Intent) -> None:
+    """The effects of a retry intent; idempotent, so recovery replays it.
+
+    A partial append from an interrupted attempt is cut back to the
+    intent's base length before the retried lines land again.
+    """
+    results_path = state / RESULTS_NAME
+    base = int(intent["results_bytes"])
+    if _size(results_path) > base:
+        io.truncate(results_path, base)
+    io.append_bytes(results_path, intent["results"].encode("utf-8"), sync=True)
+    publish(io, state / QUARANTINE_NAME, intent["quarantine"].encode("utf-8"))
+    if intent["checkpoint"] is not None:
+        checkpoint = json_bytes(intent["checkpoint"], indent=2, sort_keys=True)
+        publish(io, state / CHECKPOINT_NAME, checkpoint)
+
+
+def _recover_retry(state: Path, io: StorageIO) -> None:
+    """Finish a quarantine retry a crash interrupted (while the results
+    file still holds the prefix its lines append to)."""
+
+    def verify(intent: Intent) -> bool:
+        return _size(state / RESULTS_NAME) >= int(intent["results_bytes"])
+
+    Journal(io, state / RETRY_JOURNAL_NAME).recover(
+        verify, lambda intent: _apply_retry(state, io, intent)
     )

@@ -1,8 +1,7 @@
-"""Crash-point enumeration for journaled compaction (the tentpole's
-acceptance test): kill the merge at EVERY IO operation, in both the
-pre-op crash mode and the post-rename mode, and recovery must land on
-exactly the pre-merge or the post-merge store — never a hybrid — with
-identical query results either way."""
+"""Journaled compaction at its named crash points: the post-rename
+gap, source cleanup, a torn journal, a wedged handle, and verify-store
+on a pending merge.  The crash at every IO operation, in every fault
+mode, is enumerated by the shared harness in ``test_crash_harness.py``."""
 
 from __future__ import annotations
 
@@ -67,69 +66,6 @@ def clean_run(root, tmp_path):
 
 
 class TestEveryCrashPoint:
-    @pytest.mark.parametrize("mode", ["crash", "rename"])
-    def test_recovery_is_all_or_nothing(self, base_store, tmp_path, mode):
-        root, victims = base_store
-        pre_manifest = read_manifest(root)
-        pre_oracle = oracle(root)
-        clean = clean_run(root, tmp_path)
-        # Queries are invariant under compaction, so the oracle is the
-        # same on both sides of the transition; only the manifest and
-        # the segment files distinguish pre from post.
-        assert oracle(tmp_path / "clean") == pre_oracle
-        assert clean["merge_ops"] >= 12  # reads + journal + segment + manifest
-
-        outcomes = set()
-        for crash_at in range(1, clean["merge_ops"] + 1):
-            work = tmp_path / f"{mode}-{crash_at:03d}"
-            shutil.copytree(root, work)
-            io_ = FaultyIO(
-                FaultPlan(fail_at=clean["open_ops"] + crash_at, mode=mode)
-            )
-            store = ShardedFingerprintStore(work, storage_io=io_)
-            try:
-                Compactor(store, ONE_MERGE_POLICY).run_once()
-            except OSError:
-                pass
-
-            # "Reboot": a fresh handle auto-runs recovery on open.
-            reopened = ShardedFingerprintStore(work)
-            manifest = read_manifest(work)
-            if live_filenames(manifest) == live_filenames(pre_manifest):
-                assert manifest == pre_manifest
-                outcomes.add("rolled_back")
-            elif live_filenames(manifest) == live_filenames(
-                clean["post_manifest"]
-            ):
-                assert manifest == clean["post_manifest"]
-                outcomes.add("committed")
-            else:
-                raise AssertionError(
-                    f"{mode} at op {crash_at} left a hybrid manifest: "
-                    f"{live_filenames(manifest)}"
-                )
-            # Query results are byte-identical either way.
-            assert oracle(work) == pre_oracle
-            for key in victims:
-                assert reopened.lookup(key) is None
-            # No dangling files: every live segment exists, no
-            # temporaries or journal remain.
-            for filename in live_filenames(manifest):
-                assert (work / filename).exists()
-            assert not (work / "compaction-journal.json").exists()
-            assert not list(work.glob("shard-*/*.pcfp.tmp"))
-            verification = verify_store(work)
-            assert verification.ok, (
-                f"{mode} at op {crash_at}: {verification.problems()}"
-            )
-            # A second recovery finds nothing left to do.
-            second = reopened.recover()
-            assert second.compaction_action == "none"
-            assert not second.compaction_journal_found
-            assert not second.orphans_removed
-        # The enumeration must exercise both resolutions.
-        assert outcomes == {"rolled_back", "committed"}
-
     def test_post_rename_gap_rolls_forward(self, base_store, tmp_path):
         """The satellite fault point: the output segment's atomic
         rename lands, the crash hits before the manifest swap, and

@@ -1,0 +1,187 @@
+"""The durable-commit primitive: ``publish`` and ``Journal``.
+
+Crash behaviour of every *user* of the primitive is enumerated by the
+shared harness in ``test_crash_harness.py``; this file pins the
+primitive's own operation sequences and recovery rule, and the
+invariant that no other module replaces or directory-fsyncs through a
+``StorageIO`` by hand.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.reliability import FaultPlan, FaultyIO, InjectedFault
+from repro.reliability.durable import Journal, create, discard, publish
+
+SRC = Path(repro.__file__).parent
+
+#: The only modules allowed to call ``replace``/``fsync_dir`` on a
+#: ``StorageIO``: the primitive itself and the fault-injection seam.
+PRIMITIVE_MODULES = {"reliability/durable.py", "reliability/faults.py"}
+
+#: Raw calls outside them, by (module, enclosing function, method).  The
+#: store's quarantine moves a damaged segment into ``quarantine/`` as
+#: evidence; that rename publishes no new bytes.
+ALLOWED_RAW_CALLS = {("service/store.py", "quarantine_segment", "replace")}
+
+_IO_RECEIVER = re.compile(r"(^|_)io($|_)")
+
+
+def raw_storage_calls(path: Path):
+    """``(function, method, line)`` of every ``<io>.replace(...)`` and
+    ``<anything>.fsync_dir(...)`` call in one module.
+
+    A ``replace`` counts when its receiver is named like a StorageIO
+    (``io``, ``_io``, ``io_seam``, ``storage_io``), which keeps
+    ``str.replace`` and ``dataclasses.replace`` out.
+    """
+    calls = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(
+                child.func, ast.Attribute
+            ):
+                method = child.func.attr
+                receiver = child.func.value
+                name = (
+                    receiver.attr
+                    if isinstance(receiver, ast.Attribute)
+                    else getattr(receiver, "id", "")
+                )
+                if method == "fsync_dir" or (
+                    method == "replace" and _IO_RECEIVER.search(name)
+                ):
+                    calls.append((function, method, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return calls
+
+
+def test_no_raw_replace_or_dir_fsync_outside_the_primitive():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module in PRIMITIVE_MODULES:
+            continue
+        for function, method, line in raw_storage_calls(path):
+            if (module, function, method) not in ALLOWED_RAW_CALLS:
+                offenders.append(f"{module}:{line} {function}() .{method}(")
+    assert not offenders, (
+        "commit files through repro.reliability.durable instead: "
+        + ", ".join(offenders)
+    )
+
+
+def test_detector_sees_the_allowed_evidence_move():
+    """Guards the walk itself: the one listed exception is found."""
+    calls = raw_storage_calls(SRC / "service" / "store.py")
+    assert [(f, m) for f, m, _line in calls] == [("quarantine_segment", "replace")]
+
+
+class TestPublish:
+    def test_op_sequence_and_bytes(self, tmp_path):
+        target = tmp_path / "state.json"
+        target.write_bytes(b"old")
+        io = FaultyIO()
+        publish(io, target, b"new")
+        assert io.log == [
+            ("write_bytes", str(tmp_path / "state.json.tmp")),
+            ("replace", str(target)),
+            ("fsync_dir", str(tmp_path)),
+        ]
+        assert target.read_bytes() == b"new"
+        assert not (tmp_path / "state.json.tmp").exists()
+
+    @pytest.mark.parametrize("mode", ["crash", "torn", "rename"])
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_crash_leaves_old_or_new_bytes(self, tmp_path, mode, fail_at):
+        target = tmp_path / "state.json"
+        target.write_bytes(b"old")
+        with pytest.raises(InjectedFault):
+            publish(FaultyIO(FaultPlan(fail_at=fail_at, mode=mode)), target, b"new")
+        landed = target.read_bytes()
+        # The rename is the commit point.
+        renamed = fail_at == 3 or (fail_at == 2 and mode == "rename")
+        assert landed == (b"new" if renamed else b"old")
+
+
+class TestCreateDiscard:
+    def test_create_fsyncs_the_new_entry(self, tmp_path):
+        io = FaultyIO()
+        create(io, tmp_path / "segment.pcfp", b"data")
+        assert [op for op, _ in io.log] == ["write_bytes", "fsync_dir"]
+        assert io.log[1][1] == str(tmp_path)
+
+    def test_discard_syncs_each_touched_directory_once(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        for name in ("a/1", "a/2"):
+            (tmp_path / name).write_bytes(b"x")
+        io = FaultyIO()
+        discard(io, [tmp_path / "a/1", tmp_path / "a/2", tmp_path / "missing"])
+        assert [op for op, _ in io.log] == ["remove", "remove", "fsync_dir"]
+        assert not list((tmp_path / "a").iterdir())
+
+
+class TestJournal:
+    def test_begin_and_retire_ops(self, tmp_path):
+        io = FaultyIO()
+        journal = Journal(io, tmp_path / "journal.json")
+        journal.begin(b'{"step": 1}\n')
+        assert journal.read() == {"step": 1}
+        journal.retire()
+        assert not journal.pending()
+        assert [op for op, _ in io.log] == [
+            "write_bytes",
+            "fsync_dir",
+            "read_bytes",
+            "remove",
+            "fsync_dir",
+        ]
+
+    @pytest.mark.parametrize("raw", [b'{"step": 1', b"\xff\xfe", b"[1, 2]\n"])
+    def test_torn_or_foreign_intent_reads_as_none(self, tmp_path, raw):
+        (tmp_path / "journal.json").write_bytes(raw)
+        assert Journal(FaultyIO(), tmp_path / "journal.json").read() is None
+
+    def test_read_error_is_not_a_torn_intent(self, tmp_path):
+        (tmp_path / "journal.json").write_bytes(b'{"step": 1}\n')
+        journal = Journal(FaultyIO(FaultPlan(fail_at=1)), tmp_path / "journal.json")
+        with pytest.raises(InjectedFault):
+            journal.read()
+
+    def test_recovery_rule(self, tmp_path):
+        path = tmp_path / "journal.json"
+        calls = []
+
+        def recover(verified):
+            journal = Journal(FaultyIO(), path)
+            return journal.recover(
+                lambda intent: verified,
+                lambda intent: calls.append(("forward", intent)),
+                lambda intent: calls.append(("back", intent)),
+            )
+
+        assert recover(True) is None  # nothing pending: nothing runs
+        path.write_bytes(b'{"step": 1}\n')
+        assert recover(True) is True
+        path.write_bytes(b'{"step": 1}\n')
+        assert recover(False) is False
+        path.write_bytes(b'{"st')
+        assert recover(True) is False
+        assert calls == [
+            ("forward", {"step": 1}),
+            ("back", {"step": 1}),
+            ("back", None),
+        ]
+        assert not path.exists()

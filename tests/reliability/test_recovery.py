@@ -1,10 +1,11 @@
-"""Crash-point enumeration for the journaled ingest (satellite: every
-enumerated crash point recovers to pre- or post-ingest state, never a
-hybrid, and never loses a committed fingerprint)."""
+"""Journaled ingest recovery: torn journals, wedged handles, orphan
+sweeps and write ordering.  The crash at every IO operation is
+enumerated by the shared harness in ``test_crash_harness.py``."""
 
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +28,6 @@ def base_store(tmp_path, rng):
     store.ingest(first)
     second = make_batch(SECOND_BATCH, rng, prefix="late")
     return root, first, second
-
-
-def _state(root):
-    """Observable store state: keys in sequence order + next sequence."""
-    store = ShardedFingerprintStore(root)
-    return store.all_keys(), store._next_sequence
 
 
 def _count_ingest_ops(root, second, tmp_path):
@@ -61,49 +56,6 @@ def _journal_write_op(root, second, tmp_path):
 
 
 class TestEveryCrashPoint:
-    def test_recovery_is_all_or_nothing(self, base_store, tmp_path):
-        """Kill the ingest at every IO operation; recovery must restore
-        exactly the pre-ingest or the post-ingest state."""
-        root, first, second = base_store
-        open_ops, ingest_ops = _count_ingest_ops(root, second, tmp_path)
-        assert ingest_ops >= 8  # journal + segments + manifest + retire
-
-        pre_keys = [key for key, _fp in first]
-        post_keys = pre_keys + [key for key, _fp in second]
-        outcomes = set()
-        for crash_at in range(1, ingest_ops + 1):
-            work = tmp_path / f"crash-{crash_at:03d}"
-            shutil.copytree(root, work)
-            io_ = FaultyIO(FaultPlan(fail_at=open_ops + crash_at))
-            store = ShardedFingerprintStore(work, storage_io=io_)
-            try:
-                store.ingest(second)
-            except OSError:
-                pass
-            else:
-                # The fault landed on a post-publication op (journal
-                # retirement); the ingest itself reports success.
-                pass
-
-            # "Reboot": a fresh handle auto-runs recovery on open.
-            keys, next_sequence = _state(work)
-            if keys == pre_keys:
-                assert next_sequence == FIRST_BATCH
-                outcomes.add("rolled_back")
-            elif keys == post_keys:
-                assert next_sequence == FIRST_BATCH + SECOND_BATCH
-                outcomes.add("committed")
-            else:
-                raise AssertionError(
-                    f"crash at op {crash_at} left a hybrid state: {keys}"
-                )
-            verification = verify_store(work)
-            assert verification.ok, (
-                f"crash at op {crash_at}: {verification.problems()}"
-            )
-        # The enumeration must actually exercise both resolutions.
-        assert outcomes == {"rolled_back", "committed"}
-
     def test_torn_journal_rolls_back(self, base_store, tmp_path):
         root, first, second = base_store
         work = tmp_path / "torn"
@@ -253,3 +205,19 @@ class TestWriteOrdering:
         assert last_segment < manifest_tmp < manifest_swap < journal_retire
         # The journal becomes durable before any segment byte lands.
         assert ops[journal_write + 1][0] == "fsync_dir"
+        # Each touched shard directory is fsynced once, after its last
+        # segment write and before the manifest swap can publish it.
+        segment_writes = [
+            (i, str(Path(path).parent))
+            for i, (name, path) in enumerate(ops)
+            if name == "write_bytes" and path.endswith(".pcfp")
+        ]
+        for directory in {shard_dir for _i, shard_dir in segment_writes}:
+            syncs = [
+                i
+                for i, (name, path) in enumerate(ops)
+                if name == "fsync_dir" and path == directory
+            ]
+            last_write = max(i for i, d in segment_writes if d == directory)
+            assert len(syncs) == 1, f"{directory} fsynced {len(syncs)} times"
+            assert last_write < syncs[0] < manifest_tmp

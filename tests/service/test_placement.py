@@ -2,10 +2,11 @@
 
 The two contracts under test: (1) the ring — R distinct replicas per
 partition, deterministic routing, and minimal movement under
-rebalancing; (2) the commit protocol — a crash at (or during) *any* of
-the seven StorageIO operations of a placement commit leaves a byte
--identical pre- or post-commit ``placement.json``, and ``recover()``
-is idempotent.
+rebalancing; (2) the commit protocol — seven StorageIO operations,
+torn and foreign journals roll back, and ``recover()`` sweeps a stray
+temporary.  A crash at (or during) every one of the seven operations
+is enumerated by the shared harness in
+``tests/reliability/test_crash_harness.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.service.placement import (
     PLACEMENT_NAME,
     PLACEMENT_TMP_NAME,
     PlacementStore,
-    canonical_json_bytes,
 )
 
 WORKERS = ["worker-000", "worker-001", "worker-002", "worker-003"]
@@ -173,42 +173,3 @@ class TestPlacementStoreCommit:
         )
         assert store.recover() == "rolled_back"
         assert (tmp_path / PLACEMENT_NAME).read_bytes() == pre
-
-    @pytest.mark.parametrize("mode", ["crash", "torn", "rename"])
-    @pytest.mark.parametrize("fail_at", list(range(1, COMMIT_OPS + 1)))
-    def test_crash_at_every_op_resolves_to_pre_or_post(
-        self, tmp_path, mode, fail_at
-    ):
-        """The acceptance gate: enumerate a fault at (or during) every
-        IO operation of a placement commit; recovery must land on the
-        byte-identical pre- or post-commit map, never a hybrid, and a
-        second recover() must be a byte-stable no-op."""
-        old = PlacementMap.build(WORKERS, n_partitions=8, replication=2)
-        new = old.rebalanced(remove=["worker-003"])
-        root = tmp_path / f"{mode}-{fail_at}"
-        root.mkdir()
-        PlacementStore(root).initialize(old)
-        pre = (root / PLACEMENT_NAME).read_bytes()
-        post = canonical_json_bytes(new.to_payload())
-        assert pre != post
-        faulty = FaultyIO(FaultPlan(fail_at=fail_at, mode=mode))
-        with pytest.raises(InjectedFault):
-            PlacementStore(root, faulty).commit(new)
-        store = PlacementStore(root)
-        action = store.recover()
-        assert action in ("rolled_forward", "rolled_back", "clean")
-        landed = (root / PLACEMENT_NAME).read_bytes()
-        assert landed in (pre, post), (
-            f"mode={mode} fail_at={fail_at}: neither pre nor post bytes"
-        )
-        # Once the journal is durably named (op 2 done), the commit
-        # must win; a fault before that must preserve the old map.
-        if fail_at > 2:
-            assert landed == post
-        if fail_at <= 1:
-            assert landed == pre
-        assert not store.journal_pending()
-        assert not (root / PLACEMENT_TMP_NAME).exists()
-        assert store.recover() == "clean"
-        assert (root / PLACEMENT_NAME).read_bytes() == landed
-        assert store.load() in (old, new)
