@@ -39,8 +39,8 @@ storage chaos layer: :class:`WorkerCrashPlan` /
 worker invocations so the supervisor's restart-and-escalate logic is
 testable crash by crash.
 
-Degraded-mode serving (retry with backoff, per-shard timeouts,
-``degraded`` result tagging) lives in :mod:`repro.service.batch`.  CLI
+Degraded-mode serving (retry with backoff, per-batch deadlines,
+``degraded`` result tagging) lives in :mod:`repro.service.fanout`.  CLI
 front ends: ``repro verify-store`` and ``repro repair``.
 """
 

@@ -45,6 +45,14 @@ def create(io: StorageIO, path: PathLike, data: bytes) -> None:
     io.fsync_dir(Path(path).parent)
 
 
+def move(io: StorageIO, source: PathLike, destination: PathLike) -> None:
+    """Rename an existing file aside (quarantined evidence, not new
+    bytes), then fsync the directories of both names."""
+    io.replace(source, destination)
+    for directory in dict.fromkeys([Path(destination).parent, Path(source).parent]):
+        io.fsync_dir(directory)
+
+
 def discard(io: StorageIO, paths: Iterable[PathLike]) -> None:
     """Remove the files that exist, then fsync each directory touched."""
     removed = [path for path in map(Path, paths) if path.exists()]

@@ -17,10 +17,14 @@ that makes them answer at that scale:
   fingerprint store layered on :mod:`repro.core.serialize`: journaled
   crash-safe ingest, idempotent recovery, checksummed v2 segments,
   quarantine bookkeeping, lazy per-shard loading;
-* :mod:`repro.service.batch` — a batch query engine that fans shards
-  out over a worker pool (with retry, backoff and per-shard timeouts,
-  degrading instead of failing when shards are unreadable) and routes
-  unmatched residuals to the online clusterer;
+* :mod:`repro.service.fanout` — the one shard fan-out engine under
+  the batch and cluster services: vectorized marking, per-round
+  deadlines, hedging, failover, breakers, the first-match merge and
+  the degraded-shard ledger, over a local or a pipe transport;
+* :mod:`repro.service.batch` — the batch front end: shards of a local
+  store fanned out over a thread pool (with retry and backoff,
+  degrading instead of failing when shards are unreadable), unmatched
+  residuals routed to the online clusterer;
 * :mod:`repro.service.supervisor` — worker supervision: crashed
   workers restart in fresh threads with capped exponential backoff and
   escalate to a machine-readable fatal report when the budget runs out;
@@ -42,14 +46,12 @@ serve-batch`` / ``stream`` / ``quarantine`` / ``verify-store`` /
 """
 
 from repro.service.batch import (
-    SCHEMA_VERSION,
     BatchQuery,
     BatchReport,
     BatchIdentificationService,
-    DegradedShard,
     QueryResult,
-    merge_degraded,
 )
+from repro.service.fanout import SCHEMA_VERSION, DegradedShard, merge_degraded
 from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.store import (

@@ -1,28 +1,29 @@
-"""Batch identification engine — many Algorithm-2 queries at once.
+"""Batch identification service — many Algorithm-2 queries at once.
 
 The serving workload is not one query at a time: the eavesdropping
 attacker scrapes outputs by the thousand and the supply-chain attacker
-replays whole interception logs.  This engine takes a batch of queries
+replays whole interception logs.  This service takes a batch of queries
 — raw ``(approx, exact)`` pairs or prebuilt error strings — and runs
 the full paper loop over them:
 
-1. error strings are computed **vectorized** (one stacked-XOR numpy
-   pass via :func:`repro.core.errors.mark_errors_batch`) for all pair
-   queries;
-2. every store shard loads and scans the whole batch in a
-   :class:`concurrent.futures.ThreadPoolExecutor` worker pool, each
-   producing its earliest below-threshold match per query;
-3. per-query shard answers are merged by **global sequence number**,
-   reproducing exactly the first-match decision a linear scan over one
-   flat database in ingest order would make;
-4. unmatched residuals are routed, in arrival order, to an
+1. error strings are marked **vectorized**
+   (:func:`~repro.service.fanout.mark_queries`);
+2. the shards of a :class:`~repro.service.store.ShardedFingerprintStore`
+   are fanned out by the shard fan-out engine
+   (:func:`~repro.service.fanout.fan_out`) over the in-process
+   :class:`~repro.service.fanout.LocalTransport`: every shard loads and
+   scans the whole batch on a thread pool, and per-query answers merge
+   by **global sequence number**, reproducing exactly the first-match
+   decision a linear scan over one flat database in ingest order would
+   make;
+3. unmatched residuals are routed, in arrival order, to an
    Algorithm 4 :class:`~repro.core.cluster.OnlineClusterer` — the
    eavesdropper's "open a new suspect" step — and reported with their
    suspect ids.
 
 The shard fan-out **degrades instead of failing**: a shard whose
 segments will not load (corruption, transient IO errors) is retried
-with exponential backoff, bounded by an optional per-shard timeout,
+with exponential backoff, bounded by an optional per-batch deadline,
 and on persistent failure the batch still answers from every healthy
 shard — results are tagged ``degraded`` and the report names the
 unreadable shards with the key ranges they own, so a caller knows
@@ -34,36 +35,32 @@ Every stage is timed into the shared
 :class:`~repro.service.metrics.ServiceMetrics`; retries, shard
 failures, timeouts and degraded queries are counted there too.  When a
 tracer is installed (``--obs-dir``, benchmarks) the same stages emit
-:mod:`repro.obs.trace` spans; each shard-scan worker runs under a copy
-of the submitting context, so its ``batch.shard_scan`` spans nest
-under the batch that spawned them.
+:mod:`repro.obs.trace` spans; each shard scan runs under a copy of the
+submitting context, so its ``batch.shard_scan`` spans nest under the
+batch that spawned them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextvars
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import BitVector
 from repro.core.cluster import OnlineClusterer
 from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
-from repro.core.errors import mark_errors_batch
 from repro.core.identify import Identification
 from repro.obs.trace import span as obs_span
 from repro.reliability.breaker import BreakerBoard
-from repro.service.indexed import IndexedFingerprintDatabase
+from repro.service.fanout import (
+    SCHEMA_VERSION,
+    DegradedShard,
+    LocalTransport,
+    fan_out,
+    mark_queries,
+)
 from repro.service.metrics import ServiceMetrics
-from repro.service.store import LoadedShard, ShardedFingerprintStore
-
-#: Version stamped into every serialized report and checkpoint payload
-#: (:meth:`BatchReport.to_json`, :meth:`DegradedShard.to_json`, the
-#: streaming results/checkpoint files).  Bump on breaking layout
-#: changes; readers reject versions they do not understand instead of
-#: misparsing them.
-SCHEMA_VERSION = 1
+from repro.service.store import ShardedFingerprintStore
 
 
 @dataclass(frozen=True)
@@ -100,121 +97,6 @@ class BatchQuery:
     ) -> "BatchQuery":
         """Query from an approximate output and its exact value."""
         return cls(query_id=query_id, approx=approx, exact=exact)
-
-
-@dataclass(frozen=True)
-class DegradedShard:
-    """One shard the batch could not (fully) consult.
-
-    ``key_range`` is the ``(low_exclusive, high_inclusive)`` slice of
-    key space the shard owns (``None`` = open end): any stored
-    fingerprint whose key falls in it may have been skipped, so a
-    no-match answer for such a key is advisory, not authoritative.
-    ``attempts`` counts how many times the shard was actually tried
-    (0 when a circuit breaker skipped it without touching disk); a
-    shard failing repeatedly across retries or stream micro-batches is
-    reported once with its attempts summed, not once per failure.
-    """
-
-    shard: int
-    key_range: Tuple[Optional[str], Optional[str]]
-    reason: str
-    attempts: int = 1
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON rendering for reports and checkpoints."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "shard": self.shard,
-            "key_range": list(self.key_range),
-            "reason": self.reason,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "DegradedShard":
-        """Inverse of :meth:`to_json`; rejects unknown schema versions."""
-        version = payload.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported DegradedShard schema_version {version!r}"
-            )
-        low, high = payload["key_range"]
-        return cls(
-            shard=int(payload["shard"]),
-            key_range=(
-                None if low is None else str(low),
-                None if high is None else str(high),
-            ),
-            reason=str(payload["reason"]),
-            attempts=int(payload.get("attempts", 1)),
-        )
-
-    def merged_with(self, other: "DegradedShard") -> "DegradedShard":
-        """Combine two entries for the same shard into one.
-
-        Attempts add up; a repeated reason is kept once, distinct
-        reasons are joined so no information is dropped.
-        """
-        if other.shard != self.shard:
-            raise ValueError(
-                f"cannot merge shard {other.shard} into shard {self.shard}"
-            )
-        if other.reason == self.reason:
-            reason = self.reason
-        else:
-            reason = f"{self.reason}; {other.reason}"
-        return DegradedShard(
-            shard=self.shard,
-            key_range=self.key_range,
-            reason=reason,
-            attempts=self.attempts + other.attempts,
-        )
-
-
-def merge_degraded(entries: Sequence[DegradedShard]) -> List[DegradedShard]:
-    """Deduplicate degraded-shard entries by shard id.
-
-    Used wherever degradation accumulates across attempts — within one
-    batch (a shard both quarantined and timing out) and across stream
-    micro-batches (the same shard failing every batch): one entry per
-    shard, attempts summed, ordered by shard id.
-    """
-    merged: Dict[int, DegradedShard] = {}
-    for entry in entries:
-        existing = merged.get(entry.shard)
-        merged[entry.shard] = (
-            entry if existing is None else existing.merged_with(entry)
-        )
-    return [merged[shard] for shard in sorted(merged)]
-
-
-def merge_first_match(
-    per_source: Sequence[Sequence[Optional[Tuple[int, Identification]]]],
-    n_queries: int,
-) -> List[Identification]:
-    """Merge per-source answers into one decision per query.
-
-    Each source (a shard scan here, a partition-group reply in the
-    cluster driver) answers every query with either None or a
-    ``(global_sequence, identification)`` pair; the winner is the
-    match with the smallest global sequence — Algorithm 2's
-    first-enrolled-wins priority, preserved across any partitioning of
-    the key space.  Sources may legitimately overlap (replica fan-out,
-    hedged requests): duplicates carry the same sequence, so the merge
-    is idempotent by construction.
-    """
-    merged: List[Identification] = []
-    for position in range(n_queries):
-        best: Optional[Tuple[int, Identification]] = None
-        for answers in per_source:
-            answer = answers[position]
-            if answer is None:
-                continue
-            if best is None or answer[0] < best[0]:
-                best = answer
-        merged.append(best[1] if best is not None else Identification.failed())
-    return merged
 
 
 @dataclass(frozen=True)
@@ -292,14 +174,13 @@ class BatchReport:
 
 
 class BatchIdentificationService:
-    """Batch front end over a sharded store or a single database.
+    """Batch front end over a sharded store.
 
     Parameters
     ----------
     backend:
-        A :class:`~repro.service.store.ShardedFingerprintStore` (shards
-        are fanned out over the worker pool) or a single
-        :class:`~repro.service.indexed.IndexedFingerprintDatabase`.
+        The :class:`~repro.service.store.ShardedFingerprintStore` whose
+        shards are fanned out over the worker pool.
     threshold:
         Algorithm 2 match threshold.
     max_workers:
@@ -314,8 +195,8 @@ class BatchIdentificationService:
     retry_backoff_s:
         Base of the exponential backoff between shard retries.
     shard_timeout_s:
-        Wall-clock budget to wait for any one shard's answer; a shard
-        exceeding it is declared degraded (None = wait forever).
+        Wall-clock budget, from submission, for every shard's answer; a
+        shard exceeding it is declared degraded (None = wait forever).
     breakers:
         Optional :class:`~repro.reliability.breaker.BreakerBoard` of
         per-shard circuit breakers layered *over* the retry/timeout
@@ -325,12 +206,12 @@ class BatchIdentificationService:
         across batches (the streaming pipeline does) so persistent
         shard failure stops burning the retry budget.
     metrics:
-        Instrumentation sink; defaults to the backend's own.
+        Instrumentation sink; defaults to the store's own.
     """
 
     def __init__(
         self,
-        backend: Union[ShardedFingerprintStore, IndexedFingerprintDatabase],
+        backend: ShardedFingerprintStore,
         threshold: float = DEFAULT_THRESHOLD,
         max_workers: Optional[int] = None,
         cluster_residuals: bool = True,
@@ -349,15 +230,15 @@ class BatchIdentificationService:
             raise ValueError(
                 f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
             )
-        self._backend = backend
         self._threshold = threshold
         self._max_workers = max_workers
         self._metrics = metrics if metrics is not None else backend.metrics
         self._suspect_prefix = suspect_prefix
-        self._shard_retries = shard_retries
-        self._retry_backoff_s = retry_backoff_s
         self._shard_timeout_s = shard_timeout_s
         self._breakers = breakers
+        self._transport = LocalTransport(
+            backend, threshold, shard_retries, retry_backoff_s, self._metrics
+        )
         self._clusterer: Optional[OnlineClusterer] = (
             OnlineClusterer(threshold=threshold) if cluster_residuals else None
         )
@@ -377,11 +258,6 @@ class BatchIdentificationService:
         """Residual clusterer (None when residual routing is off)."""
         return self._clusterer
 
-    @property
-    def breakers(self) -> Optional[BreakerBoard]:
-        """Per-shard circuit breaker board (None when disabled)."""
-        return self._breakers
-
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
@@ -400,13 +276,11 @@ class BatchIdentificationService:
                 with self._metrics.time("batch.mark_errors"), obs_span(
                     "batch.mark_errors"
                 ):
-                    error_strings = self._error_strings(queries)
+                    error_strings = mark_queries(queries)
                 with self._metrics.time("batch.identify"), obs_span(
                     "batch.identify"
                 ):
-                    identifications, degraded = self._identify_all(
-                        error_strings
-                    )
+                    identifications, degraded = self._identify(error_strings)
                 with self._metrics.time("batch.residuals"), obs_span(
                     "batch.residuals"
                 ):
@@ -421,193 +295,23 @@ class BatchIdentificationService:
             degraded_shards=degraded,
         )
 
-    def _error_strings(self, queries: Sequence[BatchQuery]) -> List[BitVector]:
-        prebuilt: List[Optional[BitVector]] = []
-        pair_positions: List[int] = []
-        pairs: List[Tuple[BitVector, BitVector]] = []
-        for position, query in enumerate(queries):
-            if query.error_string is not None:
-                prebuilt.append(query.error_string)
-            else:
-                prebuilt.append(None)
-                pair_positions.append(position)
-                pairs.append((query.approx, query.exact))
-        if pairs:
-            marked = mark_errors_batch(
-                [approx for approx, _exact in pairs],
-                [exact for _approx, exact in pairs],
-            )
-            for position, error_string in zip(pair_positions, marked):
-                prebuilt[position] = error_string
-        return prebuilt  # type: ignore[return-value]  # every slot filled
-
-    def _identify_all(
+    def _identify(
         self, error_strings: Sequence[BitVector]
     ) -> Tuple[List[Identification], List[DegradedShard]]:
-        if isinstance(self._backend, ShardedFingerprintStore):
-            return self._identify_sharded(self._backend, error_strings)
-        database = self._backend
-        return [
-            database.identify_error_string(error_string, self._threshold)
-            for error_string in error_strings
-        ], []
-
-    def _identify_sharded(
-        self,
-        store: ShardedFingerprintStore,
-        error_strings: Sequence[BitVector],
-    ) -> Tuple[List[Identification], List[DegradedShard]]:
-        degraded: List[DegradedShard] = []
-        # Shards the manifest already knows to be incomplete: they still
-        # serve what survived, but their answers are advisory.
-        for shard in store.degraded_shards():
-            degraded.append(
-                DegradedShard(
-                    shard=shard,
-                    key_range=store.shard_key_range(shard),
-                    reason="quarantined segments: stored fingerprints lost",
-                )
-            )
-        shards = [
-            shard
-            for shard in range(store.n_shards)
-            if any(segment.shard == shard for segment in store.segments)
-        ]
-        if not shards:
-            return (
-                [Identification.failed() for _ in error_strings],
-                merge_degraded(degraded),
-            )
-        admitted: List[int] = []
-        for shard in shards:
-            if self._breakers is not None and not self._breakers.allow(shard):
-                # Open breaker: the shard has failed persistently, skip
-                # it without paying the load/retry budget at all.
-                self._metrics.count("batch.shard_short_circuits")
-                degraded.append(
-                    DegradedShard(
-                        shard=shard,
-                        key_range=store.shard_key_range(shard),
-                        reason="circuit breaker open: shard skipped",
-                        attempts=0,
-                    )
-                )
-            else:
-                admitted.append(shard)
-        if not admitted:
-            return (
-                [Identification.failed() for _ in error_strings],
-                merge_degraded(degraded),
-            )
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self._max_workers
-        )
+        # A pool per batch: a scan wedged past its deadline keeps only
+        # its own thread, never one the next batch needs.
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=self._max_workers)
         try:
-            # Each worker runs under a copy of this context so its
-            # shard-scan spans parent onto the enclosing batch span.
-            futures = {
-                shard: pool.submit(
-                    contextvars.copy_context().run,
-                    self._load_and_scan,
-                    store,
-                    shard,
-                    error_strings,
-                )
-                for shard in admitted
-            }
-            per_shard: List[List[Optional[Tuple[int, Identification]]]] = []
-            deadline = (
-                time.monotonic() + self._shard_timeout_s
-                if self._shard_timeout_s is not None
-                else None
+            return fan_out(
+                self._transport,
+                self._transport.sources(),
+                error_strings,
+                pool,
+                breakers=self._breakers,
+                deadline_s=self._shard_timeout_s,
             )
-            for shard, future in futures.items():
-                remaining: Optional[float] = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    per_shard.append(future.result(timeout=remaining))
-                except concurrent.futures.TimeoutError:
-                    self._metrics.count("batch.shard_timeouts")
-                    if self._breakers is not None:
-                        self._breakers.record_failure(shard)
-                    degraded.append(
-                        DegradedShard(
-                            shard=shard,
-                            key_range=store.shard_key_range(shard),
-                            reason=(
-                                f"timed out after {self._shard_timeout_s}s"
-                            ),
-                        )
-                    )
-                except Exception as error:  # noqa: BLE001 - degrade, never fail
-                    self._metrics.count("batch.shard_failures")
-                    if self._breakers is not None:
-                        self._breakers.record_failure(shard)
-                    degraded.append(
-                        DegradedShard(
-                            shard=shard,
-                            key_range=store.shard_key_range(shard),
-                            reason=f"unreadable after retries: {error}",
-                            attempts=self._shard_retries + 1,
-                        )
-                    )
-                else:
-                    if self._breakers is not None:
-                        self._breakers.record_success(shard)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        # Merge: per query, the match with the smallest global sequence.
-        merged = merge_first_match(per_shard, len(error_strings))
-        return merged, merge_degraded(degraded)
-
-    def _load_and_scan(
-        self,
-        store: ShardedFingerprintStore,
-        shard: int,
-        error_strings: Sequence[BitVector],
-    ) -> List[Optional[Tuple[int, Identification]]]:
-        """Load one shard and scan the batch, retrying with backoff.
-
-        Transient IO errors heal across retries; persistent damage
-        exhausts the retry budget and propagates for the caller to
-        translate into a :class:`DegradedShard`.
-        """
-        attempts = self._shard_retries + 1
-        for attempt in range(attempts):
-            try:
-                with obs_span(
-                    "batch.shard_scan", shard=shard, attempt=attempt
-                ):
-                    replica = store.load_shard(shard)
-                    return self._scan_shard(replica, error_strings)
-            except Exception:
-                # Drop any half-built replica so the retry reloads.
-                store.evict(shard)
-                if attempt + 1 == attempts:
-                    raise
-                self._metrics.count("batch.shard_retries")
-                if self._retry_backoff_s:
-                    time.sleep(self._retry_backoff_s * (2 ** attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _scan_shard(
-        self,
-        replica: LoadedShard,
-        error_strings: Sequence[BitVector],
-    ) -> List[Optional[Tuple[int, Identification]]]:
-        """Earliest in-shard match per query, tagged with global sequence."""
-        answers: List[Optional[Tuple[int, Identification]]] = []
-        for error_string in error_strings:
-            identification = replica.database.identify_error_string(
-                error_string, self._threshold
-            )
-            if identification.matched:
-                sequence = replica.sequences[identification.key]
-                answers.append((sequence, identification))
-            else:
-                answers.append(None)
-        return answers
 
     def _route_residuals(
         self,

@@ -1,7 +1,7 @@
 """Process-parallel clustered identification with replication and failover.
 
-The batch engine fans a query batch across shards as *threads in one
-process*; a wedged or killed shard scan takes the whole service with
+The batch service scans the shards of one store on threads of one
+process; a wedged or killed shard scan takes the whole service with
 it.  This module moves each shard replica into its own supervised
 worker **process** so the failure domain is one worker, not the fleet:
 
@@ -13,12 +13,10 @@ worker **process** so the failure domain is one worker, not the fleet:
   crash-safe :class:`~repro.service.store.ShardedFingerprintStore`
   directory plus a global-sequence sidecar, so a replica is recoverable
   with the exact same journal protocol as any store;
-* **read path** — queries fan out to one live, breaker-admitted
-  replica per partition, with a *hedged* duplicate request to the next
-  replica when the primary dawdles past ``hedge_delay_s``; answers
-  merge by minimum global sequence
-  (:func:`~repro.service.batch.merge_first_match`), so replica overlap
-  and hedging can never duplicate a result;
+* **read path** — :func:`~repro.service.fanout.fan_out` over the
+  :class:`~repro.service.fanout.PipeTransport`: one live replica per
+  partition, *hedged* to the next one past ``hedge_delay_s``, merged by
+  global sequence so overlap can never duplicate a result;
 * **health** — a monitor thread heartbeats every worker against a
   liveness deadline, feeds the per-worker
   :class:`~repro.reliability.breaker.CircuitBreaker`, and restarts
@@ -48,26 +46,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.distance import DEFAULT_THRESHOLD
-from repro.core.errors import mark_errors_batch
 from repro.core.fingerprint import Fingerprint
-from repro.core.identify import Identification
-from repro.bits import BitVector
 from repro.obs.trace import span as obs_span
 from repro.reliability.breaker import BreakerBoard
 from repro.reliability.faults import StorageIO
-from repro.service.batch import (
-    BatchQuery,
-    BatchReport,
-    DegradedShard,
-    QueryResult,
-    merge_degraded,
-    merge_first_match,
-)
+from repro.service.batch import BatchQuery, BatchReport, QueryResult
+from repro.service.fanout import PipeTransport, fan_out, mark_queries
 from repro.service.metrics import ServiceMetrics
 from repro.service.placement import PlacementMap, PlacementStore
 from repro.service.rpc import (
@@ -76,15 +65,12 @@ from repro.service.rpc import (
     WorkerHandle,
     WorkerTimeout,
     encode_query,
+    open_replica,
     partition_dir,
-    read_sequence_map,
     write_sequence_map,
 )
 from repro.service.store import ShardedFingerprintStore
 from repro.service.supervisor import full_jitter_backoff
-
-#: Answers on the wire: (global sequence, key, distance).
-WireAnswer = Optional[Tuple[int, str, float]]
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,6 @@ class ClusterConfig:
     restart_backoff_base_s: float = 0.05
     restart_backoff_cap_s: float = 2.0
     jitter_seed: Optional[int] = None
-    start_method: str = "fork"
 
 
 def default_worker_ids(n_workers: int) -> List[str]:
@@ -313,7 +298,6 @@ class ClusterService:
             self._root,
             placement.partitions_of(worker_id),
             self._config.threshold,
-            start_method=self._config.start_method,
         )
         with self._lock:
             self._workers[worker_id] = handle
@@ -420,13 +404,29 @@ class ClusterService:
         with self._metrics.time("cluster.identify"), obs_span(
             "cluster.identify", queries=len(queries)
         ):
-            error_strings = self._error_strings(queries)
             wire = [
                 encode_query(query.query_id, error_string)
-                for query, error_string in zip(queries, error_strings)
+                for query, error_string in zip(queries, mark_queries(queries))
             ]
-            per_source, degraded = self._fan_out(wire, len(queries))
-            identifications = merge_first_match(per_source, len(queries))
+            with self._lock:
+                placement = self._placement
+                handles = dict(self._workers)
+            transport = PipeTransport(
+                handles,
+                self._breaker_index,
+                self._note_death,
+                self._config.request_timeout_s,
+                self._metrics,
+            )
+            identifications, degraded = fan_out(
+                transport,
+                {p: placement.replicas(p) for p in range(placement.n_partitions)},
+                wire,
+                self._pool,
+                breakers=self._breakers,
+                deadline_s=self._config.request_timeout_s,
+                hedge_delay_s=self._config.hedge_delay_s,
+            )
         if degraded:
             self._metrics.count("cluster.degraded_partitions", len(degraded))
         results = [
@@ -440,219 +440,8 @@ class ClusterService:
         return BatchReport(
             results=results,
             stats=self._metrics.stats(),
-            degraded_shards=merge_degraded(degraded),
+            degraded_shards=degraded,
         )
-
-    def _error_strings(
-        self, queries: Sequence[BatchQuery]
-    ) -> List[BitVector]:
-        prebuilt: List[Optional[BitVector]] = []
-        pair_positions: List[int] = []
-        pairs: List[Tuple[BitVector, BitVector]] = []
-        for position, query in enumerate(queries):
-            if query.error_string is not None:
-                prebuilt.append(query.error_string)
-            else:
-                prebuilt.append(None)
-                pair_positions.append(position)
-                pairs.append((query.approx, query.exact))
-        if pairs:
-            marked = mark_errors_batch(
-                [approx for approx, _exact in pairs],
-                [exact for _approx, exact in pairs],
-            )
-            for position, error_string in zip(pair_positions, marked):
-                prebuilt[position] = error_string
-        return prebuilt  # type: ignore[return-value]  # every slot filled
-
-    def _eligible_replica(
-        self,
-        placement: PlacementMap,
-        partition: int,
-        tried: Set[str],
-    ) -> Optional[str]:
-        """Next live, breaker-admitted replica for ``partition``."""
-        with self._lock:
-            workers = dict(self._workers)
-        for worker_id in placement.replicas(partition):
-            if worker_id in tried:
-                continue
-            handle = workers.get(worker_id)
-            if handle is None or not handle.alive():
-                continue
-            if not self._breakers.allow(self._breaker_index(worker_id)):
-                self._metrics.count("cluster.breaker_skips")
-                continue
-            return worker_id
-        return None
-
-    def _request_answers(
-        self,
-        worker_id: str,
-        partitions: Sequence[int],
-        wire: Sequence[Dict[str, object]],
-    ) -> List[WireAnswer]:
-        with self._lock:
-            handle = self._workers.get(worker_id)
-        if handle is None:
-            raise WorkerDied(f"worker {worker_id} is down")
-        return handle.identify(
-            wire,
-            partitions,
-            timeout_s=self._config.request_timeout_s,
-        )
-
-    def _fan_out(
-        self,
-        wire: Sequence[Dict[str, object]],
-        n_queries: int,
-    ) -> Tuple[
-        List[List[Optional[Tuple[int, Identification]]]],
-        List[DegradedShard],
-    ]:
-        """Fan queries over partitions; hedged first round, then failover.
-
-        Returns per-source answer lists (for
-        :func:`~repro.service.batch.merge_first_match`) plus degraded
-        partitions no replica could serve.  Sources may overlap
-        (hedges); the sequence-based merge makes that harmless.
-        """
-        with self._lock:
-            placement = self._placement
-        pending: Set[int] = set(range(placement.n_partitions))
-        tried: Dict[int, Set[str]] = {p: set() for p in pending}
-        per_source: List[List[Optional[Tuple[int, Identification]]]] = []
-        # Up to `replication` rounds of failover plus the hedged first
-        # round: with R replicas, every replica gets one chance.
-        for round_index in range(placement.replication + 1):
-            if not pending:
-                break
-            groups: Dict[str, List[int]] = {}
-            for partition in sorted(pending):
-                target = self._eligible_replica(
-                    placement, partition, tried[partition]
-                )
-                if target is not None:
-                    groups.setdefault(target, []).append(partition)
-            if not groups:
-                break
-            if round_index > 0:
-                self._metrics.count("cluster.failover_rounds")
-            submitted: List[Tuple[str, List[int], bool, concurrent.futures.Future]] = []
-            for worker_id, partitions in groups.items():
-                for partition in partitions:
-                    tried[partition].add(worker_id)
-                submitted.append(
-                    (
-                        worker_id,
-                        partitions,
-                        False,
-                        self._pool.submit(
-                            self._request_answers, worker_id, partitions, wire
-                        ),
-                    )
-                )
-            if round_index == 0 and self._config.hedge_delay_s is not None:
-                submitted.extend(
-                    self._hedge(placement, tried, wire, submitted)
-                )
-            for worker_id, partitions, hedged, future in submitted:
-                try:
-                    answers = future.result(
-                        timeout=self._config.request_timeout_s
-                    )
-                except Exception as error:  # noqa: BLE001 - degrade, never fail
-                    self._on_request_failure(worker_id, error)
-                    continue
-                self._breakers.record_success(
-                    self._breaker_index(worker_id)
-                )
-                per_source.append(
-                    [
-                        None
-                        if answer is None
-                        else (
-                            answer[0],
-                            Identification(
-                                matched=True,
-                                key=answer[1],
-                                distance=answer[2],
-                            ),
-                        )
-                        for answer in answers
-                    ]
-                )
-                won = pending.intersection(partitions)
-                if hedged and won:
-                    self._metrics.count("cluster.hedge_wins")
-                pending.difference_update(partitions)
-        degraded = [
-            DegradedShard(
-                shard=partition,
-                key_range=(None, None),
-                reason=(
-                    "no live replica: "
-                    f"tried {sorted(tried[partition]) or 'none'}"
-                ),
-                attempts=len(tried[partition]),
-            )
-            for partition in sorted(pending)
-        ]
-        return per_source, degraded
-
-    def _hedge(
-        self,
-        placement: PlacementMap,
-        tried: Dict[int, Set[str]],
-        wire: Sequence[Dict[str, object]],
-        submitted: Sequence[
-            Tuple[str, List[int], bool, concurrent.futures.Future]
-        ],
-    ) -> List[Tuple[str, List[int], bool, concurrent.futures.Future]]:
-        """Send duplicate requests for groups slower than the hedge delay."""
-        futures = [future for _w, _p, _h, future in submitted]
-        _done, not_done = concurrent.futures.wait(
-            futures, timeout=self._config.hedge_delay_s
-        )
-        if not not_done:
-            return []
-        hedge_groups: Dict[str, List[int]] = {}
-        for _worker_id, partitions, _hedged, future in submitted:
-            if future not in not_done:
-                continue
-            for partition in partitions:
-                backup = self._eligible_replica(
-                    placement, partition, tried[partition]
-                )
-                if backup is not None:
-                    hedge_groups.setdefault(backup, []).append(partition)
-        hedges: List[Tuple[str, List[int], bool, concurrent.futures.Future]] = []
-        for worker_id, partitions in hedge_groups.items():
-            self._metrics.count("cluster.hedges")
-            for partition in partitions:
-                tried[partition].add(worker_id)
-            hedges.append(
-                (
-                    worker_id,
-                    partitions,
-                    True,
-                    self._pool.submit(
-                        self._request_answers, worker_id, partitions, wire
-                    ),
-                )
-            )
-        return hedges
-
-    def _on_request_failure(
-        self, worker_id: str, error: Exception
-    ) -> None:
-        self._metrics.count("cluster.request_failures")
-        self._breakers.record_failure(self._breaker_index(worker_id))
-        if isinstance(error, WorkerDied):
-            with self._lock:
-                handle = self._workers.get(worker_id)
-            if handle is not None and not handle.alive():
-                self._note_death(worker_id, handle)
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -724,14 +513,10 @@ class ClusterService:
             if not (directory / "manifest.json").exists():
                 continue
             try:
-                replica = ShardedFingerprintStore(
-                    directory, n_shards=1, storage_io=self._io
-                )
-                loaded = replica.load_shard(0)
-                sequences = read_sequence_map(directory, self._io)
+                database, sequences = open_replica(directory, self._io)
                 return sorted(
                     (sequences[key], key, fingerprint)
-                    for key, fingerprint in loaded.database.items()
+                    for key, fingerprint in database.items()
                 )
             except Exception as error:  # noqa: BLE001 - try next replica
                 last_error = error

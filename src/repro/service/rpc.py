@@ -38,6 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bits import BitVector
 from repro.reliability.durable import json_bytes, publish
 from repro.reliability.faults import StorageIO
+from repro.service.fanout import merge_first_match, scan_replica
+from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.store import ShardedFingerprintStore
 
 #: Sidecar file in every partition directory: key → global sequence.
@@ -45,6 +47,10 @@ SEQUENCE_MAP_NAME = "sequence-map.json"
 
 #: Subdirectory of the cluster root holding per-worker state.
 WORKERS_DIR_NAME = "workers"
+
+#: How worker processes start: forked, so a worker inherits the
+#: parent's imported modules instead of re-importing them.
+START_METHOD = "fork"
 
 
 class WorkerError(RuntimeError):
@@ -98,6 +104,14 @@ def read_sequence_map(
     }
 
 
+def open_replica(
+    directory: Path, storage_io: Optional[StorageIO] = None
+) -> Tuple[IndexedFingerprintDatabase, Dict[str, int]]:
+    """One partition replica: its database and key → global sequence."""
+    store = ShardedFingerprintStore(directory, n_shards=1, storage_io=storage_io)
+    return store.load_shard(0).database, read_sequence_map(directory, storage_io)
+
+
 def encode_query(query_id: str, error_string: BitVector) -> Dict[str, object]:
     """Wire form of one identification query (sparse index list)."""
     return {
@@ -123,29 +137,6 @@ def decode_query(payload: Dict[str, object]) -> Tuple[str, BitVector]:
 # ----------------------------------------------------------------------
 
 
-class _PartitionReplica:
-    """One opened partition store plus its global-sequence sidecar."""
-
-    def __init__(self, directory: Path) -> None:
-        store = ShardedFingerprintStore(directory, n_shards=1)
-        self.loaded = store.load_shard(0)
-        self.global_sequences = read_sequence_map(directory)
-
-    def best_match(
-        self, error_string: BitVector, threshold: float
-    ) -> Optional[Tuple[int, str, float]]:
-        """Earliest (global sequence) match in this partition, if any."""
-        identification = self.loaded.database.identify_error_string(
-            error_string, threshold
-        )
-        if not identification.matched:
-            return None
-        assert identification.key is not None
-        sequence = self.global_sequences[identification.key]
-        distance = identification.distance
-        return (sequence, identification.key, float(distance))
-
-
 def worker_main(
     worker_id: str,
     root: str,
@@ -161,12 +152,12 @@ def worker_main(
     """
     root_path = Path(root)
     assigned = set(int(partition) for partition in partitions)
-    replicas: Dict[int, _PartitionReplica] = {}
+    replicas: Dict[int, Tuple[IndexedFingerprintDatabase, Dict[str, int]]] = {}
     served = 0
 
-    def replica(partition: int) -> _PartitionReplica:
+    def replica(partition: int) -> Tuple[IndexedFingerprintDatabase, Dict[str, int]]:
         if partition not in replicas:
-            replicas[partition] = _PartitionReplica(
+            replicas[partition] = open_replica(
                 partition_dir(root_path, worker_id, partition)
             )
         return replicas[partition]
@@ -205,18 +196,21 @@ def worker_main(
                     raise WorkerError(
                         f"worker {worker_id} does not hold partition(s) {unknown}"
                     )
-                queries = [decode_query(q) for q in message["queries"]]
+                queries = [decode_query(q)[1] for q in message["queries"]]
                 threshold_override = float(message.get("threshold", threshold))
-                answers: List[Optional[List[object]]] = [None] * len(queries)
-                for partition in wanted:
-                    part = replica(partition)
-                    for position, (_qid, error_string) in enumerate(queries):
-                        match = part.best_match(error_string, threshold_override)
-                        if match is None:
-                            continue
-                        current = answers[position]
-                        if current is None or match[0] < current[0]:  # type: ignore[index]
-                            answers[position] = [match[0], match[1], match[2]]
+                best = merge_first_match(
+                    [
+                        scan_replica(*replica(partition), queries, threshold_override)
+                        for partition in wanted
+                    ],
+                    len(queries),
+                )
+                answers = [
+                    None
+                    if answer is None
+                    else [answer[0], answer[1].key, float(answer[1].distance)]  # type: ignore[arg-type]
+                    for answer in best
+                ]
                 served += len(queries)
                 reply = {"ok": True, "worker": worker_id, "answers": answers}
             else:
@@ -257,11 +251,10 @@ class WorkerHandle:
         root: Path,
         partitions: Sequence[int],
         threshold: float,
-        start_method: str = "fork",
     ) -> None:
         self.worker_id = worker_id
         self.partitions = tuple(int(p) for p in partitions)
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
         self._process = ctx.Process(

@@ -80,6 +80,7 @@ from repro.reliability.durable import (
     create,
     discard,
     json_bytes,
+    move,
     publish,
     temporary,
 )
@@ -90,6 +91,7 @@ from repro.service.metrics import ServiceMetrics
 _MANIFEST_NAME = "manifest.json"
 _JOURNAL_NAME = "ingest-journal.json"
 _COMPACTION_JOURNAL_NAME = "compaction-journal.json"
+_QUARANTINE_JOURNAL_NAME = "quarantine-journal.json"
 _QUARANTINE_DIR = "quarantine"
 _STORE_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
@@ -279,7 +281,14 @@ class ShardedFingerprintStore:
         manifest_path = self._root / _MANIFEST_NAME
         if manifest_path.exists():
             self._apply_manifest(self._read_manifest(manifest_path))
-            if self.journal_path.exists() or self.compaction_journal_path.exists():
+            if any(
+                path.exists()
+                for path in (
+                    self.journal_path,
+                    self.compaction_journal_path,
+                    self.quarantine_journal_path,
+                )
+            ):
                 self.recover()
         else:
             if n_shards < 1:
@@ -375,6 +384,11 @@ class ShardedFingerprintStore:
     def compaction_journal_path(self) -> Path:
         """Location of the write-ahead compaction journal."""
         return self._root / _COMPACTION_JOURNAL_NAME
+
+    @property
+    def quarantine_journal_path(self) -> Path:
+        """Location of the write-ahead quarantine journal."""
+        return self._root / _QUARANTINE_JOURNAL_NAME
 
     @property
     def quarantine_dir(self) -> Path:
@@ -692,6 +706,7 @@ class ShardedFingerprintStore:
         ) is not None:
             self._metrics.count("store.recoveries")
         self._recover_compaction(report)
+        self._recover_quarantine()
         # Sweep leftovers: a stale manifest temporary, any segment
         # file no manifest entry references, and segment temporaries a
         # crashed compaction left beside its output.
@@ -755,6 +770,35 @@ class ShardedFingerprintStore:
                 discard(self._io, [self._root / output.filename])
             if intent is not None:
                 self._metrics.count("store.compaction_recovered_back")
+
+        if journal.recover(verify, forward, back) is not None:
+            self._metrics.count("store.recoveries")
+
+    def _recover_quarantine(self) -> None:
+        """Resolve a pending quarantine journal: forward once the salvage
+        replacement (if any) is fully on disk, else drop the replacement."""
+        journal = Journal(self._io, self.quarantine_journal_path)
+
+        def landed(intent: Intent) -> bool:
+            return SegmentRecord.from_json(intent["record"]) not in self._segments
+
+        def verify(intent: Intent) -> bool:
+            replacement = intent["replacement"]
+            return (
+                landed(intent)
+                or replacement is None
+                or self._segment_verifies(SegmentRecord.from_json(replacement))
+            )
+
+        def forward(intent: Intent) -> None:
+            if not landed(intent):
+                self._apply_quarantine(intent)
+                self._write_manifest()
+
+        def back(intent: Optional[Intent]) -> None:
+            if intent is not None and intent["replacement"] is not None:
+                replacement = SegmentRecord.from_json(intent["replacement"])
+                discard(self._io, [self._root / replacement.filename])
 
         if journal.recover(verify, forward, back) is not None:
             self._metrics.count("store.recoveries")
@@ -1005,38 +1049,56 @@ class ShardedFingerprintStore:
         garbage), the manifest entry moves to the quarantined list, and
         when a salvage replacement is supplied its file is written
         durably and spliced in at the original manifest position so
-        per-shard ingest order is preserved.
+        per-shard ingest order is preserved.  The three steps commit as
+        one :class:`~repro.reliability.durable.Journal` intent, resolved
+        by :meth:`recover` into the pre- or post-quarantine store.
         """
-        try:
-            position = self._segments.index(record)
-        except ValueError:
+        if record not in self._segments:
             raise StoreError(
                 f"segment {record.filename} is not in the live manifest"
-            ) from None
-        if replacement is not None:
-            new_record, data = replacement
-            path = self._root / new_record.filename
-            path.parent.mkdir(parents=True, exist_ok=True)
-            create(self._io, path, data)
-        source = self._root / record.filename
-        if source.exists():
-            # This replace archives the *damaged* segment as evidence; it
-            # never publishes freshly written bytes (the salvage payload
-            # above is created durably before the manifest flips).
-            self._io.replace(  # repro-lint: disable=REP009 -- evidence move, not a durable publish
-                source, self._quarantine_destination(record.filename)
             )
-        if replacement is not None:
-            self._segments[position] = replacement[0]
-        else:
-            del self._segments[position]
-        self._quarantined.append(QuarantinedSegment(record=record, reason=reason))
-        self._write_manifest()
+        evidence = self._quarantine_destination(record.filename)
+        intent: Intent = {
+            "version": 1,
+            "record": record.to_json(),
+            "reason": reason,
+            "evidence": evidence.relative_to(self._root).as_posix(),
+            "replacement": None if replacement is None else replacement[0].to_json(),
+        }
+        journal = Journal(self._io, self.quarantine_journal_path)
+        try:
+            journal.begin(json_bytes(intent, indent=2))
+            if replacement is not None:
+                path = self._root / replacement[0].filename
+                path.parent.mkdir(parents=True, exist_ok=True)
+                create(self._io, path, replacement[1])
+            self._apply_quarantine(intent)
+            self._write_manifest()
+            journal.retire()
+        except OSError:
+            self._needs_recovery = True
+            raise
         self._cache.pop(record.shard, None)
         self._blooms.pop(record.filename, None)
         if replacement is not None:
             self._blooms.pop(replacement[0].filename, None)
         self._metrics.count("store.segments_quarantined")
+
+    def _apply_quarantine(self, intent: Intent) -> None:
+        """Move the damaged file aside as evidence and splice the
+        manifest state (its durable replay is idempotent)."""
+        record = SegmentRecord.from_json(intent["record"])
+        source = self._root / record.filename
+        if source.exists():
+            move(self._io, source, self._root / intent["evidence"])
+        position = self._segments.index(record)
+        if intent["replacement"] is not None:
+            self._segments[position] = SegmentRecord.from_json(intent["replacement"])
+        else:
+            del self._segments[position]
+        self._quarantined.append(
+            QuarantinedSegment(record=record, reason=str(intent["reason"]))
+        )
 
     def drop_quarantined(self, entries: Sequence[QuarantinedSegment]) -> None:
         """Remove quarantine manifest entries (retention pruning).

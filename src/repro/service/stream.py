@@ -76,13 +76,11 @@ from repro.reliability.breaker import BreakerBoard
 from repro.reliability.durable import Intent, Journal, json_bytes, publish
 from repro.reliability.faults import StorageIO
 from repro.service.batch import (
-    SCHEMA_VERSION,
     BatchIdentificationService,
     BatchQuery,
     BatchReport,
-    DegradedShard,
-    merge_degraded,
 )
+from repro.service.fanout import SCHEMA_VERSION, DegradedShard, merge_degraded
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import ShardedFingerprintStore
 from repro.service.supervisor import SupervisorEscalation, WorkerSupervisor
@@ -97,11 +95,13 @@ except ImportError:  # pragma: no cover
 class IdentificationEngine(Protocol):
     """Anything answering a batch of queries with a report.
 
-    :class:`~repro.service.batch.BatchIdentificationService` is the
-    in-process implementation; the cluster driver
-    (:class:`repro.service.cluster.ClusterService`) satisfies the same
-    contract over worker processes, so the streaming pipeline's
-    admission, supervision and checkpointing wrap either transparently.
+    Both implementations run the one shard fan-out engine
+    (:func:`~repro.service.fanout.fan_out`):
+    :class:`~repro.service.batch.BatchIdentificationService` over the
+    shards of a local store, the cluster driver
+    (:class:`repro.service.cluster.ClusterService`) over worker
+    processes.  The streaming pipeline's admission, supervision and
+    checkpointing wrap either transparently.
     """
 
     def run(self, queries: Sequence[BatchQuery]) -> BatchReport:
@@ -1226,11 +1226,18 @@ def list_quarantine(
     """
     io_seam = storage_io if storage_io is not None else StorageIO()
     _recover_retry(Path(state_dir), io_seam)
-    path = Path(state_dir) / QUARANTINE_NAME
+    return _quarantine_entries(io_seam, Path(state_dir) / QUARANTINE_NAME)
+
+
+def _quarantine_entries(
+    io: StorageIO, path: Path, size: Optional[int] = None
+) -> List[QuarantineEntry]:
+    """The entries of a quarantine file, or of its first ``size`` bytes."""
     if not path.exists():
         return []
+    data = io.read_bytes(path)[:size]
     entries: List[QuarantineEntry] = []
-    for line in io_seam.read_bytes(path).decode("utf-8").splitlines():
+    for line in data.decode("utf-8").splitlines():
         line = line.strip()
         if line:
             entries.append(QuarantineEntry.from_json(json.loads(line)))
@@ -1277,10 +1284,22 @@ def retry_quarantine(
     later ``--resume`` does not truncate the retried work away) commit
     as one :class:`~repro.reliability.durable.Journal` intent, so a
     crash anywhere leaves the retry wholly undone or wholly done.
+
+    With a checkpoint, only what it accounts for is retried and kept:
+    the tails a crashed (undrained) run appended past it belong to the
+    next ``--resume``, which processes those offsets again.
     """
     state = Path(state_dir)
     io_seam = storage_io if storage_io is not None else StorageIO()
-    entries = list_quarantine(state, storage_io=io_seam)
+    _recover_retry(state, io_seam)
+    checkpoint = None
+    if (state / CHECKPOINT_NAME).exists():
+        checkpoint = _read_checkpoint(io_seam, state / CHECKPOINT_NAME)
+    entries = _quarantine_entries(
+        io_seam,
+        state / QUARANTINE_NAME,
+        None if checkpoint is None else checkpoint.quarantine_bytes,
+    )
     retriable: List[Tuple[QuarantineEntry, BatchQuery]] = []
     remaining: List[QuarantineEntry] = []
     for entry in entries:
@@ -1329,11 +1348,13 @@ def retry_quarantine(
                 )
             )
         results = b"".join(lines)
-        base = _size(state / RESULTS_NAME)
+        base = (
+            _size(state / RESULTS_NAME)
+            if checkpoint is None
+            else checkpoint.results_bytes
+        )
         remaining_data = b"".join(entry.line() for entry in remaining)
-        checkpoint = None
-        if (state / CHECKPOINT_NAME).exists():
-            checkpoint = _read_checkpoint(io_seam, state / CHECKPOINT_NAME)
+        if checkpoint is not None:
             checkpoint.results_bytes = base + len(results)
             checkpoint.quarantine_bytes = len(remaining_data)
         intent: Intent = {

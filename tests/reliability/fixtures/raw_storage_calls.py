@@ -1,0 +1,21 @@
+"""Input for ``test_durable.raw_storage_calls``: what the walk must see.
+
+Never imported; the test parses it.  ``archive`` and ``sync`` hold the
+raw calls the detector must report; ``harmless`` holds look-alikes it
+must not.
+"""
+
+import dataclasses
+
+
+def archive(self, source, destination):
+    self._io.replace(source, destination)
+
+
+def sync(storage_io, directory):
+    storage_io.fsync_dir(directory)
+
+
+def harmless(text, record):
+    text.replace("a", "b")
+    return dataclasses.replace(record, count=0)

@@ -1,7 +1,7 @@
 """One crash harness for every durable commit in the system.
 
-Each *user* of :mod:`repro.reliability.durable` — the store's ingest
-and compaction journals, the placement journal, the quarantine retry
+Each *user* of :mod:`repro.reliability.durable` — the store's ingest,
+compaction and segment-quarantine journals, the placement journal, the quarantine retry
 journal, the stream's checkpoint/fatal/report publishes, the campaign
 chip checkpoint and the cluster sequence map — is one input.  For every
 user, every ``FaultyIO`` operation of its commit and every fault mode
@@ -41,6 +41,7 @@ from repro.reliability import (
     FaultPlan,
     FaultyIO,
     StorageIO,
+    repair_store,
     verify_store,
 )
 from repro.service import (
@@ -56,6 +57,7 @@ from repro.service.rpc import write_sequence_map
 from repro.service.stream import FATAL_NAME, REPORT_NAME
 from tests.reliability.conftest import make_batch
 from tests.reliability.test_compaction import build_store, oracle
+from tests.reliability.test_repair import corrupt_record
 
 MODES = ("crash", "torn", "rename")
 NBITS = 512
@@ -169,6 +171,29 @@ def compaction_check(root: Path, ctx, op: int, outcome: str) -> None:
     reopened = ShardedFingerprintStore(root / "store")
     for key in victims:
         assert reopened.lookup(key) is None
+
+
+def quarantine_setup(root: Path, rng: np.random.Generator) -> None:
+    """A 20-record, 1-shard store with one corrupt record: the repair
+    salvages the other 19 and quarantines the damaged file."""
+    store = ShardedFingerprintStore(root / "store", n_shards=1)
+    store.ingest(make_batch(20, rng))
+    corrupt_record(root / "store" / store.segments[0].filename, 7, rng=rng)
+
+
+def quarantine_commit(root: Path, io: StorageIO, _ctx) -> None:
+    repair_store(ShardedFingerprintStore(root / "store", storage_io=io))
+
+
+def quarantine_check(root: Path, _ctx, op: int, outcome: str) -> None:
+    """A repair from here loses only the corrupt record (on a copy)."""
+    work = root.parent / f"{root.name}-repaired"
+    shutil.copytree(root, work)
+    store = ShardedFingerprintStore(work / "store")
+    repair_store(store)
+    assert len(store) == 19, f"op {op} ({outcome}): {len(store)} records"
+    assert verify_store(work / "store").ok
+    shutil.rmtree(work)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +340,15 @@ USERS = [
         recover=store_recover,
         idle=("none", "none", ()),
         check=compaction_check,
+        sweeps_tmp=True,
+    ),
+    User(
+        "segment-quarantine",
+        quarantine_setup,
+        quarantine_commit,
+        recover=store_recover,
+        idle=("none", "none", ()),
+        check=quarantine_check,
         sweeps_tmp=True,
     ),
     User(

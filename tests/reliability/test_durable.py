@@ -17,7 +17,7 @@ import pytest
 
 import repro
 from repro.reliability import FaultPlan, FaultyIO, InjectedFault
-from repro.reliability.durable import Journal, create, discard, publish
+from repro.reliability.durable import Journal, create, discard, move, publish
 
 SRC = Path(repro.__file__).parent
 
@@ -25,10 +25,12 @@ SRC = Path(repro.__file__).parent
 #: ``StorageIO``: the primitive itself and the fault-injection seam.
 PRIMITIVE_MODULES = {"reliability/durable.py", "reliability/faults.py"}
 
-#: Raw calls outside them, by (module, enclosing function, method).  The
-#: store's quarantine moves a damaged segment into ``quarantine/`` as
-#: evidence; that rename publishes no new bytes.
-ALLOWED_RAW_CALLS = {("service/store.py", "quarantine_segment", "replace")}
+#: Raw calls outside them, by (module, enclosing function, method).
+#: Even the store's evidence move goes through ``durable.move``.
+ALLOWED_RAW_CALLS: set = set()
+
+#: A module with known raw calls and look-alikes, for the walk itself.
+FIXTURE = Path(__file__).parent / "fixtures" / "raw_storage_calls.py"
 
 _IO_RECEIVER = re.compile(r"(^|_)io($|_)")
 
@@ -84,9 +86,13 @@ def test_no_raw_replace_or_dir_fsync_outside_the_primitive():
 
 
 def test_detector_sees_the_allowed_evidence_move():
-    """Guards the walk itself: the one listed exception is found."""
-    calls = raw_storage_calls(SRC / "service" / "store.py")
-    assert [(f, m) for f, m, _line in calls] == [("quarantine_segment", "replace")]
+    """Guards the walk itself: the fixture's raw rename and directory
+    fsync are found, its ``str``/``dataclasses`` look-alikes are not."""
+    calls = raw_storage_calls(FIXTURE)
+    assert [(f, m) for f, m, _line in calls] == [
+        ("archive", "replace"),
+        ("sync", "fsync_dir"),
+    ]
 
 
 class TestPublish:
@@ -131,6 +137,20 @@ class TestCreateDiscard:
         discard(io, [tmp_path / "a/1", tmp_path / "a/2", tmp_path / "missing"])
         assert [op for op, _ in io.log] == ["remove", "remove", "fsync_dir"]
         assert not list((tmp_path / "a").iterdir())
+
+
+    def test_move_fsyncs_both_directories(self, tmp_path):
+        (tmp_path / "shard").mkdir()
+        (tmp_path / "shard" / "seg").write_bytes(b"evidence")
+        (tmp_path / "quarantine").mkdir()
+        io = FaultyIO()
+        move(io, tmp_path / "shard" / "seg", tmp_path / "quarantine" / "seg")
+        assert io.log == [
+            ("replace", str(tmp_path / "quarantine" / "seg")),
+            ("fsync_dir", str(tmp_path / "quarantine")),
+            ("fsync_dir", str(tmp_path / "shard")),
+        ]
+        assert (tmp_path / "quarantine" / "seg").read_bytes() == b"evidence"
 
 
 class TestJournal:

@@ -13,7 +13,6 @@ from repro.service import (
     BatchIdentificationService,
     BatchQuery,
     DegradedShard,
-    IndexedFingerprintDatabase,
     ShardedFingerprintStore,
     merge_degraded,
 )
@@ -47,6 +46,13 @@ def corpus_and_queries(rng, n_devices=250, n_hits=40, n_misses=15):
     return corpus, queries, expected
 
 
+def one_shard_store(tmp_path, corpus):
+    """The whole corpus in a single-shard store, in ingest order."""
+    store = ShardedFingerprintStore(tmp_path / "store", n_shards=1)
+    store.ingest(corpus)
+    return store
+
+
 class TestBatchQuery:
     def test_requires_exactly_one_form(self):
         bits = BitVector.from_indices(64, [1])
@@ -57,12 +63,10 @@ class TestBatchQuery:
                 query_id="q", error_string=bits, approx=bits, exact=bits
             )
 
-    def test_pair_queries_equal_prebuilt_error_queries(self, rng):
+    def test_pair_queries_equal_prebuilt_error_queries(self, tmp_path, rng):
         """The engine's vectorized marking matches per-query marking."""
         corpus, _queries, _expected = corpus_and_queries(rng, n_devices=100)
-        database = IndexedFingerprintDatabase()
-        for key, fingerprint in corpus:
-            database.add(key, fingerprint)
+        store = one_shard_store(tmp_path, corpus)
         exact = BitVector.random(NBITS, rng, 0.5)
         approxes = []
         for index in range(10):
@@ -76,7 +80,7 @@ class TestBatchQuery:
             BatchQuery.from_errors(f"q{index}", mark_errors(approx, exact))
             for index, approx in enumerate(approxes)
         ]
-        service = BatchIdentificationService(database)
+        service = BatchIdentificationService(store)
         pair_results = service.run(pair_queries).results
         error_results = service.run(error_queries).results
         for from_pair, from_errors in zip(pair_results, error_results):
@@ -84,14 +88,14 @@ class TestBatchQuery:
 
 
 class TestAgainstLinearReference:
-    def test_database_backend_matches_linear(self, rng):
+    def test_database_backend_matches_linear(self, tmp_path, rng):
+        """One shard holding everything answers like the flat scan."""
         corpus, queries, expected = corpus_and_queries(rng)
-        database = IndexedFingerprintDatabase()
+        store = one_shard_store(tmp_path, corpus)
         linear = FingerprintDatabase()
         for key, fingerprint in corpus:
-            database.add(key, fingerprint)
             linear.add(key, fingerprint)
-        report = BatchIdentificationService(database).run(queries)
+        report = BatchIdentificationService(store).run(queries)
         assert [
             result.identification.key for result in report.results
         ] == expected
@@ -141,12 +145,11 @@ class TestAgainstLinearReference:
 
 
 class TestResiduals:
-    def test_unmatched_queries_cluster_by_origin(self, rng):
+    def test_unmatched_queries_cluster_by_origin(self, tmp_path, rng):
         """Residuals from the same unknown device land in one suspect
         cluster; different devices open different suspects."""
-        database = IndexedFingerprintDatabase()
-        database.add(
-            "known", Fingerprint(bits=BitVector.random(NBITS, rng, 0.01))
+        store = one_shard_store(
+            tmp_path, [("known", Fingerprint(bits=BitVector.random(NBITS, rng, 0.01)))]
         )
         unknown_a = BitVector.random(NBITS, rng, 0.01)
         unknown_b = BitVector.random(NBITS, rng, 0.01)
@@ -155,7 +158,7 @@ class TestResiduals:
             BatchQuery.from_errors("b1", unknown_b | BitVector.random(NBITS, rng, 0.001)),
             BatchQuery.from_errors("a2", unknown_a | BitVector.random(NBITS, rng, 0.001)),
         ]
-        service = BatchIdentificationService(database)
+        service = BatchIdentificationService(store)
         report = service.run(queries)
         results = {result.query_id: result for result in report.results}
         assert report.unmatched_count == 3
@@ -165,12 +168,11 @@ class TestResiduals:
         assert results["b1"].suspect_key != results["a1"].suspect_key
         assert len(service.clusterer) == 2
 
-    def test_residual_routing_can_be_disabled(self, rng):
-        database = IndexedFingerprintDatabase()
-        database.add(
-            "known", Fingerprint(bits=BitVector.random(NBITS, rng, 0.01))
+    def test_residual_routing_can_be_disabled(self, tmp_path, rng):
+        store = one_shard_store(
+            tmp_path, [("known", Fingerprint(bits=BitVector.random(NBITS, rng, 0.01)))]
         )
-        service = BatchIdentificationService(database, cluster_residuals=False)
+        service = BatchIdentificationService(store, cluster_residuals=False)
         report = service.run(
             [BatchQuery.from_errors("q", BitVector.random(NBITS, rng, 0.01))]
         )
@@ -179,12 +181,9 @@ class TestResiduals:
 
 
 class TestReporting:
-    def test_report_shape_and_metrics(self, rng):
+    def test_report_shape_and_metrics(self, tmp_path, rng):
         corpus, queries, _expected = corpus_and_queries(rng, n_hits=5, n_misses=2)
-        database = IndexedFingerprintDatabase()
-        for key, fingerprint in corpus:
-            database.add(key, fingerprint)
-        service = BatchIdentificationService(database)
+        service = BatchIdentificationService(one_shard_store(tmp_path, corpus))
         report = service.run(queries)
         payload = report.to_json()
         assert payload["matched"] == report.matched_count == 5
@@ -208,12 +207,10 @@ class TestReporting:
 
 
 class TestSchemaVersioning:
-    def test_batch_report_carries_schema_version(self, rng):
+    def test_batch_report_carries_schema_version(self, tmp_path, rng):
         corpus, queries, _expected = corpus_and_queries(rng, n_hits=2, n_misses=1)
-        database = IndexedFingerprintDatabase()
-        for key, fingerprint in corpus:
-            database.add(key, fingerprint)
-        payload = BatchIdentificationService(database).run(queries).to_json()
+        store = one_shard_store(tmp_path, corpus)
+        payload = BatchIdentificationService(store).run(queries).to_json()
         assert payload["schema_version"] == SCHEMA_VERSION
 
     def test_degraded_shard_round_trips(self):

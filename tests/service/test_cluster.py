@@ -24,7 +24,7 @@ from repro.service import (
     build_cluster,
     verify_cluster,
 )
-from repro.service.batch import merge_first_match
+from repro.service.fanout import merge_first_match
 from repro.service.placement import PLACEMENT_JOURNAL_NAME, PlacementStore
 from repro.service.rpc import partition_dir
 
@@ -88,14 +88,13 @@ class TestMergeFirstMatch:
         must be idempotent under that overlap."""
         answer = (7, Identification(matched=True, key="k", distance=0.01))
         merged = merge_first_match([[answer], [answer], [None]], 1)
-        assert merged[0].key == "k"
+        assert merged == [answer]
         earlier = (3, Identification(matched=True, key="j", distance=0.02))
         merged = merge_first_match([[answer], [earlier]], 1)
-        assert merged[0].key == "j"
+        assert merged == [earlier]
 
     def test_unanswered_queries_fail(self):
-        merged = merge_first_match([[None], [None]], 1)
-        assert not merged[0].matched
+        assert merge_first_match([[None], [None]], 1) == [None]
 
 
 class TestBuildCluster:

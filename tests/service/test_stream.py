@@ -24,6 +24,7 @@ from repro.reliability import (
     FaultPlan,
     FaultyIO,
     InjectedFault,
+    StorageIO,
     WorkerCrashPlan,
     WorkerFaultInjector,
 )
@@ -548,6 +549,58 @@ class TestQuarantineTriage:
         assert retry.retried == 0
         assert retry.still_quarantined == 4
         assert len(list_quarantine(tmp_path / "state")) == 4
+
+
+class CrashAtCheckpoint(StorageIO):
+    """State-directory IO that dies on the ``n``-th checkpoint publish."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.checkpoints = 0
+
+    def write_bytes(self, path, data, sync=True):
+        if str(path).endswith("checkpoint.json.tmp"):
+            self.checkpoints += 1
+            if self.checkpoints == self.n:
+                raise InjectedFault(f"crash at checkpoint publish {self.n}")
+        super().write_bytes(path, data, sync)
+
+
+class TestRetryBetweenCrashAndResume:
+    def test_each_offset_is_recorded_once(self, tmp_path, corpus):
+        """A crashed (undrained) run leaves a results tail past its
+        checkpoint for ``--resume`` to truncate: a retry in between must
+        not count that tail as checkpointed, or the resume records its
+        offsets again."""
+        store, bits = corpus
+        lines = observation_lines(bits, n=48)
+        obs = write_observations(tmp_path / "obs.jsonl", lines[:8])
+        state = tmp_path / "state"
+        options = dict(batch_size=4, checkpoint_every=8)
+        # Every line exceeds this cap: the first 8 land in quarantine.
+        capped = StreamingIdentificationService(
+            store, state, max_nbits=NBITS // 2, **options
+        )
+        assert capped.run(obs).quarantined == 8
+        write_observations(obs, lines)
+        crashing = StreamingIdentificationService(
+            store, state, storage_io=CrashAtCheckpoint(2), **options
+        )
+        with pytest.raises(InjectedFault):
+            crashing.run(obs, resume=True)
+        checkpointed = json.loads((state / "checkpoint.json").read_text())
+        assert (state / "results.jsonl").stat().st_size > checkpointed[
+            "results_bytes"
+        ], "the crash left no uncheckpointed tail"
+        retry = retry_quarantine(store, state)  # default cap requalifies
+        assert retry.retried == 8 and retry.still_quarantined == 0
+        resumed = StreamingIdentificationService(store, state, **options)
+        assert resumed.run(obs, resume=True).status == "completed"
+        offsets = [
+            json.loads(line)["offset"]
+            for line in (state / "results.jsonl").read_text().splitlines()
+        ]
+        assert sorted(offsets) == list(range(48))
 
 
 class TestCrossSeamResume:
