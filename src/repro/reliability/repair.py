@@ -19,11 +19,13 @@ Two entry points, mirroring ``fsck``'s split personality:
   the property test asserts repair is decision-for-decision invisible
   on an uncorrupted store.
 
-Verification understands the compaction protocol: a pending
-compaction journal makes the store not-ok but its artefacts — a
-missing or orphaned segment file named as a merge source — are
-classified as *recoverable* findings pointing at ``recover()``
-rather than as data loss.  :func:`prune_quarantine` adds retention:
+Verification reads the store's own model: the manifest through
+:func:`~repro.service.store.load_manifest`, and the journals through
+:data:`~repro.service.store.STORE_JOURNALS`.  A pending journal makes
+the store not-ok, but the files its intent names — a missing or
+unreferenced segment, a stale ``.pcfp.tmp`` — are *recoverable*
+findings pointing at ``recover()`` rather than data loss.
+:func:`prune_quarantine` adds retention:
 quarantined segment files older than a cutoff are deleted and their
 manifest entries folded into the ``reclaimed`` sequence ledger.
 
@@ -34,10 +36,9 @@ repair`` (pruning via ``repro repair --prune-quarantine``).
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.serialize import (
     CorruptRecord,
@@ -51,27 +52,18 @@ from repro.reliability.bloom import append_trailer, build_filter
 from repro.reliability.durable import Journal
 from repro.reliability.faults import StorageIO
 from repro.service.store import (
-    _COMPACTION_JOURNAL_NAME,
-    _JOURNAL_NAME,
-    _MANIFEST_NAME,
-    _SUPPORTED_VERSIONS,
+    STORE_JOURNALS,
     QuarantinedSegment,
     RecoveryReport,
     SegmentRecord,
     ShardedFingerprintStore,
+    StoreError,
     coalesce_runs,
+    load_manifest,
+    unreferenced_files,
 )
 
 _SECONDS_PER_DAY = 86400.0
-
-
-def _record_intervals(record: SegmentRecord) -> List[Tuple[int, int]]:
-    """Sequence ``(start, stop)`` intervals a segment accounts for."""
-    if record.runs:
-        return [(start, start + count) for start, count in record.runs]
-    return [
-        (record.start_sequence, record.start_sequence + record.original_count)
-    ]
 
 
 @dataclass
@@ -85,9 +77,9 @@ class SegmentVerification:
     exists: bool = True
     corrupt: List[CorruptRecord] = field(default_factory=list)
     error: Optional[str] = None
-    #: A finding a plain ``recover()`` resolves without data loss —
-    #: e.g. the file is a merge source a crashed compaction deleted.
-    recoverable: bool = False
+    #: Label of the pending journal whose commit retires this missing
+    #: file (a merge source, a segment being quarantined).
+    pending_journal: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -99,6 +91,11 @@ class SegmentVerification:
             and self.readable_count == self.declared_count
         )
 
+    @property
+    def recoverable(self) -> bool:
+        """A finding a plain ``recover()`` resolves without data loss."""
+        return self.pending_journal is not None
+
     def describe(self) -> str:
         """One-line human rendering for the CLI."""
         if self.ok:
@@ -107,8 +104,8 @@ class SegmentVerification:
             if self.recoverable:
                 return (
                     f"{self.filename}: MISSING (source of a pending "
-                    "compaction; recover() — reopen the store or run "
-                    "'repro repair' — will resolve it without loss)"
+                    f"{self.pending_journal}; recover() — reopen the store "
+                    "or run 'repro repair' — will resolve it without loss)"
                 )
             return f"{self.filename}: MISSING"
         if self.error is not None:
@@ -131,68 +128,60 @@ class StoreVerification:
     root: Path
     manifest_ok: bool = False
     manifest_error: Optional[str] = None
-    journal_pending: bool = False
-    compaction_pending: bool = False
+    #: Labels of the store journals with a pending intent.
+    pending_journals: List[str] = field(default_factory=list)
     segments: List[SegmentVerification] = field(default_factory=list)
     orphan_files: List[str] = field(default_factory=list)
-    #: On-disk files explained by the pending compaction journal
-    #: (undeleted merge sources); cleaned up by ``recover()``.
-    pending_compaction_files: List[str] = field(default_factory=list)
+    #: Unreferenced files a pending intent names (filename -> journal
+    #: label); ``recover()`` rolls them forward or sweeps them.
+    pending_files: Dict[str, str] = field(default_factory=dict)
     sequence_gaps: List[Tuple[int, int]] = field(default_factory=list)
     degraded_shards: List[int] = field(default_factory=list)
     total_records: int = 0
     corrupt_records: int = 0
 
+    def findings(self) -> List[Tuple[str, bool]]:
+        """Every finding, one line each, with whether ``recover()``
+        resolves it without loss."""
+        if not self.manifest_ok:
+            return [(f"manifest: {self.manifest_error}", False)]
+        found = [
+            (
+                f"pending {label} journal (crashed {label}); recoverable "
+                "— reopen the store or run 'repro repair'",
+                True,
+            )
+            for label in self.pending_journals
+        ]
+        found += [(s.describe(), s.recoverable) for s in self.segments if not s.ok]
+        found += [
+            (f"orphan segment file not in manifest: {name}", False)
+            for name in self.orphan_files
+        ]
+        found += [
+            (f"undeleted {label} source {name}; recover() will sweep it", True)
+            for name, label in sorted(self.pending_files.items())
+        ]
+        found += [
+            (f"sequence range [{start}, {stop}) unaccounted for", False)
+            for start, stop in self.sequence_gaps
+        ]
+        return found
+
+    def problems(self) -> List[str]:
+        """Every finding, one line each, for the CLI and reports."""
+        return [line for line, _recoverable in self.findings()]
+
     @property
     def ok(self) -> bool:
         """Consistent and fully readable (degraded-but-consistent is ok)."""
-        return (
-            self.manifest_ok
-            and not self.journal_pending
-            and not self.compaction_pending
-            and not self.orphan_files
-            and not self.sequence_gaps
-            and all(segment.ok for segment in self.segments)
-        )
+        return not self.findings()
 
     @property
     def recoverable(self) -> bool:
         """Not ok, but every finding is one ``recover()`` resolves."""
-        if self.ok or not self.manifest_ok:
-            return False
-        for segment in self.segments:
-            if not segment.ok and not segment.recoverable:
-                return False
-        return not self.orphan_files and not self.sequence_gaps
-
-    def problems(self) -> List[str]:
-        """Every finding, one line each, for the CLI and reports."""
-        lines: List[str] = []
-        if not self.manifest_ok:
-            lines.append(f"manifest: {self.manifest_error}")
-            return lines
-        if self.journal_pending:
-            lines.append(
-                "pending ingest journal (crashed ingest); run 'repro repair'"
-            )
-        if self.compaction_pending:
-            lines.append(
-                "pending compaction journal (crashed compaction); "
-                "recoverable — reopen the store or run 'repro repair'"
-            )
-        for segment in self.segments:
-            if not segment.ok:
-                lines.append(segment.describe())
-        for orphan in self.orphan_files:
-            lines.append(f"orphan segment file not in manifest: {orphan}")
-        for leftover in self.pending_compaction_files:
-            lines.append(
-                f"undeleted compaction source {leftover}; "
-                "recover() will sweep it"
-            )
-        for start, stop in self.sequence_gaps:
-            lines.append(f"sequence range [{start}, {stop}) unaccounted for")
-        return lines
+        findings = self.findings()
+        return bool(findings) and all(fixed for _line, fixed in findings)
 
     def to_json(self) -> Dict[str, object]:
         """JSON-serializable summary (CLI ``--json`` and benchmarks)."""
@@ -201,13 +190,12 @@ class StoreVerification:
             "ok": self.ok,
             "recoverable": self.recoverable,
             "manifest_ok": self.manifest_ok,
-            "journal_pending": self.journal_pending,
-            "compaction_pending": self.compaction_pending,
+            "pending_journals": self.pending_journals,
             "total_records": self.total_records,
             "corrupt_records": self.corrupt_records,
             "degraded_shards": self.degraded_shards,
             "orphan_files": self.orphan_files,
-            "pending_compaction_files": self.pending_compaction_files,
+            "pending_files": sorted(self.pending_files),
             "sequence_gaps": [list(gap) for gap in self.sequence_gaps],
             "segments": [
                 {
@@ -237,8 +225,8 @@ def verify_store(root: Union[str, Path]) -> StoreVerification:
     """Read-only integrity check of a store directory.
 
     Safe to run against a live or a crashed store: nothing on disk is
-    touched, so a crashed ingest shows up as ``journal_pending`` rather
-    than being silently resolved.
+    touched, so a crashed commit shows up in ``pending_journals``
+    rather than being silently resolved.
     """
     with obs_span("reliability.verify", root=str(root)):
         return _verify_store_impl(Path(root))
@@ -246,54 +234,28 @@ def verify_store(root: Union[str, Path]) -> StoreVerification:
 
 def _verify_store_impl(root: Path) -> StoreVerification:
     verification = StoreVerification(root=root)
-    manifest_path = root / _MANIFEST_NAME
     try:
-        payload = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
-        verification.manifest_error = f"no manifest at {manifest_path}"
-        return verification
-    except (OSError, json.JSONDecodeError) as error:
-        verification.manifest_error = f"unreadable manifest: {error}"
-        return verification
-    if payload.get("version") not in _SUPPORTED_VERSIONS:
-        verification.manifest_error = (
-            f"unsupported store version {payload.get('version')!r}"
-        )
-        return verification
-    try:
-        segments = [
-            SegmentRecord.from_json(record) for record in payload["segments"]
-        ]
-        quarantined = [
-            QuarantinedSegment.from_json(record)
-            for record in payload.get("quarantined", [])
-        ]
-        next_sequence = int(payload["next_sequence"])
-        reclaimed = [
-            (int(start), int(count))
-            for start, count in payload.get("reclaimed", [])
-        ]
-    except (KeyError, TypeError, ValueError) as error:
-        verification.manifest_error = f"malformed manifest: {error}"
+        manifest = load_manifest(root)
+    except StoreError as error:
+        verification.manifest_error = str(error)
         return verification
     verification.manifest_ok = True
-    verification.journal_pending = (root / _JOURNAL_NAME).exists()
 
-    # A pending compaction journal names merge sources and an output;
-    # files it explains are recoverable findings, not data loss.
-    # A torn journal planned nothing.
-    compaction = Journal(StorageIO(), root / _COMPACTION_JOURNAL_NAME)
-    verification.compaction_pending = compaction.pending()
-    intent = compaction.read() or {}
-    compaction_sources = {str(name) for name in intent.get("sources", [])}
-    compaction_files = set(compaction_sources)
-    output_record = intent.get("output")
-    if isinstance(output_record, dict):
-        # The merge output may already be renamed into place without
-        # being published in the manifest yet.
-        compaction_files.add(str(output_record.get("filename")))
+    # Files a readable pending intent names are what recover() resolves,
+    # not data loss; a torn intent names nothing.  A missing manifest
+    # entry is resolved only when the commit retires it.
+    retired: Dict[str, str] = {}
+    explained: Dict[str, str] = {}
+    for row in STORE_JOURNALS:
+        journal = Journal(StorageIO(), root / row.filename)
+        if journal.pending():
+            verification.pending_journals.append(row.label)
+            old, new = row.explains(journal.read() or {})
+            retired.update(dict.fromkeys(old, row.label))
+            explained.update(dict.fromkeys(old + new, row.label))
+    verification.pending_journals.sort()
 
-    for record in segments:
+    for record in manifest.segments:
         entry = SegmentVerification(
             filename=record.filename,
             shard=record.shard,
@@ -303,8 +265,7 @@ def _verify_store_impl(root: Path) -> StoreVerification:
         path = root / record.filename
         if not path.exists():
             entry.exists = False
-            if record.filename in compaction_sources:
-                entry.recoverable = True
+            entry.pending_journal = retired.get(record.filename)
             continue
         try:
             scan = scan_database(path)
@@ -326,11 +287,10 @@ def _verify_store_impl(root: Path) -> StoreVerification:
     # a live one is expected — that is what a salvage replacement or a
     # compacted partial drop looks like.  Compacted segments account
     # for their exact sequence ``runs``.
-    live_spans = sorted(
-        interval
-        for record in segments
-        for interval in _record_intervals(record)
-    )
+    def intervals(records: Iterable[SegmentRecord]) -> List[Tuple[int, int]]:
+        return [(start, start + n) for r in records for start, n in r.spans()]
+
+    live_spans = sorted(intervals(manifest.segments))
     cursor = 0
     for start, stop in live_spans:
         if start < cursor:
@@ -338,43 +298,30 @@ def _verify_store_impl(root: Path) -> StoreVerification:
         cursor = max(cursor, stop)
     all_spans = sorted(
         live_spans
-        + [
-            interval
-            for entry in quarantined
-            for interval in _record_intervals(entry.record)
-        ]
-        + [(start, start + count) for start, count in reclaimed]
+        + intervals(entry.record for entry in manifest.quarantined)
+        + [(start, start + count) for start, count in manifest.reclaimed]
     )
     cursor = 0
     for start, stop in all_spans:
         if start > cursor:
             verification.sequence_gaps.append((cursor, start))
         cursor = max(cursor, stop)
-    if cursor < next_sequence:
-        verification.sequence_gaps.append((cursor, next_sequence))
-    elif cursor > next_sequence:
-        verification.sequence_gaps.append((next_sequence, cursor))
+    if cursor < manifest.next_sequence:
+        verification.sequence_gaps.append((cursor, manifest.next_sequence))
+    elif cursor > manifest.next_sequence:
+        verification.sequence_gaps.append((manifest.next_sequence, cursor))
 
-    referenced = {record.filename for record in segments}
-    for candidate in sorted(root.glob("shard-*/*.pcfp")):
-        relative = candidate.relative_to(root).as_posix()
-        if relative in referenced:
-            continue
-        if relative in compaction_files:
-            # An undeleted merge source, or the merge output renamed
-            # into place before the crash; recover() resolves both.
-            verification.pending_compaction_files.append(relative)
-        else:
+    # Unreferenced segment files and temporaries: recoverable when a
+    # pending intent names them (a temporary by its final name).
+    for relative in unreferenced_files(root, manifest.segments):
+        label = explained.get(relative.removesuffix(".tmp"))
+        if label is None:
             verification.orphan_files.append(relative)
-    for leftover in sorted(root.glob("shard-*/*.pcfp.tmp")):
-        relative = leftover.relative_to(root).as_posix()
-        if verification.compaction_pending:
-            verification.pending_compaction_files.append(relative)
         else:
-            verification.orphan_files.append(relative)
+            verification.pending_files[relative] = label
 
-    shards = {entry.record.shard for entry in quarantined}
-    shards.update(record.shard for record in segments if record.omitted)
+    shards = {entry.record.shard for entry in manifest.quarantined}
+    shards.update(record.shard for record in manifest.segments if record.omitted)
     verification.degraded_shards = sorted(shards)
     return verification
 

@@ -30,9 +30,13 @@ Ingest is **crash-safe**: it commits through a write-ahead
 :class:`~repro.reliability.durable.Journal` (DESIGN.md §8, "Durable
 commits"), and :meth:`ShardedFingerprintStore.recover` — run on open —
 resolves any crash point to exactly the pre- or post-ingest store,
-never touching previously committed segments.  All filesystem traffic
-goes through a :class:`repro.reliability.faults.StorageIO` seam so the
-chaos tests can enumerate crash points deterministically.
+never touching previously committed segments.  Ingest, compaction and
+segment quarantine each have a journal; :data:`STORE_JOURNALS` lists
+them once for the store's recovery and for ``verify-store``, and
+:func:`load_manifest` is the one manifest parser both read through.
+All filesystem traffic goes through a
+:class:`repro.reliability.faults.StorageIO` seam so the chaos tests can
+enumerate crash points deterministically.
 
 Shards load lazily into :class:`IndexedFingerprintDatabase` replicas
 and are cached; :class:`~repro.service.metrics.ServiceMetrics` counts
@@ -62,7 +66,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.fingerprint import Fingerprint
 from repro.core.identify import FingerprintDatabase
@@ -143,6 +147,10 @@ class SegmentRecord:
             if offset not in dropped
         ]
 
+    def spans(self) -> List[Tuple[int, int]]:
+        """Sequence ``(start, count)`` runs this segment accounts for."""
+        return list(self.runs) or [(self.start_sequence, self.original_count)]
+
     def sequences(self) -> List[int]:
         """Global sequence of each stored record, in stored order."""
         if self.runs:
@@ -222,6 +230,61 @@ class RecoveryReport:
     compaction_journal_found: bool = False
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """The parsed state of a store's ``manifest.json``."""
+
+    n_shards: int
+    boundaries: List[str]
+    segments: List[SegmentRecord]
+    next_sequence: int
+    quarantined: List[QuarantinedSegment]
+    tombstones: Dict[str, int]
+    reclaimed: List[Tuple[int, int]]
+
+
+def load_manifest(root: Path, storage_io: Optional[StorageIO] = None) -> Manifest:
+    """Read-only parse of the manifest in ``root``.
+
+    The one manifest parser: the store applies its result, and
+    ``verify-store`` reports its :class:`StoreError` as the manifest
+    finding.  Anything missing, unreadable or malformed raises
+    :class:`StoreError`.
+    """
+    path = Path(root) / _MANIFEST_NAME
+    try:
+        data = (storage_io or StorageIO()).read_bytes(path)
+        payload = json.loads(data.decode("utf-8"))
+    except FileNotFoundError as error:
+        raise StoreError(f"no manifest at {path}") from error
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise StoreError(f"unreadable manifest at {path}: {error}") from error
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version not in _SUPPORTED_VERSIONS:
+        raise StoreError(f"unsupported store version {version!r}")
+    try:
+        return Manifest(
+            n_shards=int(payload["n_shards"]),
+            boundaries=[str(boundary) for boundary in payload["boundaries"]],
+            segments=[SegmentRecord.from_json(record) for record in payload["segments"]],
+            next_sequence=int(payload["next_sequence"]),
+            quarantined=[
+                QuarantinedSegment.from_json(record)
+                for record in payload.get("quarantined", [])
+            ],
+            tombstones={
+                str(entry["key"]): int(entry["sequence"])
+                for entry in payload.get("tombstones", [])
+            },
+            reclaimed=coalesce_runs(
+                (int(start), int(count))
+                for start, count in payload.get("reclaimed", [])
+            ),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise StoreError(f"malformed manifest at {path}: {error!r}") from error
+
+
 @dataclass
 class LoadedShard:
     """An in-memory replica of one shard.
@@ -256,9 +319,9 @@ class ShardedFingerprintStore:
 
     Open an existing store (or create an empty one) by constructing
     with its directory path; ingest batches with :meth:`ingest`; get a
-    queryable shard replica with :meth:`load_shard`.  A pending ingest
-    journal found at open is resolved by :meth:`recover` before the
-    store serves anything.
+    queryable shard replica with :meth:`load_shard`.  A pending journal
+    of :data:`STORE_JOURNALS` found at open is resolved by
+    :meth:`recover` before the store serves anything.
     """
 
     def __init__(
@@ -278,17 +341,9 @@ class ShardedFingerprintStore:
         self._reclaimed: List[Tuple[int, int]] = []
         self._needs_recovery = False
         self._last_recovery: Optional[RecoveryReport] = None
-        manifest_path = self._root / _MANIFEST_NAME
-        if manifest_path.exists():
-            self._apply_manifest(self._read_manifest(manifest_path))
-            if any(
-                path.exists()
-                for path in (
-                    self.journal_path,
-                    self.compaction_journal_path,
-                    self.quarantine_journal_path,
-                )
-            ):
+        if (self._root / _MANIFEST_NAME).exists():
+            self._apply_manifest(load_manifest(self._root, self._io))
+            if any((self._root / row.filename).exists() for row in STORE_JOURNALS):
                 self.recover()
         else:
             if n_shards < 1:
@@ -304,36 +359,14 @@ class ShardedFingerprintStore:
     # Manifest handling
     # ------------------------------------------------------------------
 
-    def _read_manifest(self, path: Path) -> Dict[str, object]:
-        try:
-            payload = json.loads(self._io.read_bytes(path).decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise StoreError(f"unreadable manifest at {path}: {error}") from error
-        if payload.get("version") not in _SUPPORTED_VERSIONS:
-            raise StoreError(
-                f"unsupported store version {payload.get('version')!r}"
-            )
-        return payload
-
-    def _apply_manifest(self, payload: Dict[str, object]) -> None:
-        self._n_shards = int(payload["n_shards"])
-        self._boundaries = [str(boundary) for boundary in payload["boundaries"]]
-        self._segments = [
-            SegmentRecord.from_json(record) for record in payload["segments"]
-        ]
-        self._next_sequence = int(payload["next_sequence"])
-        self._quarantined = [
-            QuarantinedSegment.from_json(record)
-            for record in payload.get("quarantined", [])
-        ]
-        self._tombstones = {
-            str(entry["key"]): int(entry["sequence"])
-            for entry in payload.get("tombstones", [])
-        }
-        self._reclaimed = coalesce_runs(
-            (int(start), int(count))
-            for start, count in payload.get("reclaimed", [])
-        )
+    def _apply_manifest(self, manifest: Manifest) -> None:
+        self._n_shards = manifest.n_shards
+        self._boundaries = manifest.boundaries
+        self._segments = manifest.segments
+        self._next_sequence = manifest.next_sequence
+        self._quarantined = manifest.quarantined
+        self._tombstones = manifest.tombstones
+        self._reclaimed = manifest.reclaimed
 
     def _manifest_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -374,21 +407,6 @@ class ShardedFingerprintStore:
     def root(self) -> Path:
         """Store directory."""
         return self._root
-
-    @property
-    def journal_path(self) -> Path:
-        """Location of the write-ahead ingest journal."""
-        return self._root / _JOURNAL_NAME
-
-    @property
-    def compaction_journal_path(self) -> Path:
-        """Location of the write-ahead compaction journal."""
-        return self._root / _COMPACTION_JOURNAL_NAME
-
-    @property
-    def quarantine_journal_path(self) -> Path:
-        """Location of the write-ahead quarantine journal."""
-        return self._root / _QUARANTINE_JOURNAL_NAME
 
     @property
     def quarantine_dir(self) -> Path:
@@ -466,10 +484,7 @@ class ShardedFingerprintStore:
         ``None`` marks an open end; with no boundaries fixed yet, shard
         0 owns everything.
         """
-        if not 0 <= shard < self._n_shards:
-            raise StoreError(
-                f"shard {shard} out of range for {self._n_shards} shards"
-            )
+        self._check_shard(shard)
         if not self._boundaries:
             return (None, None)
         low = self._boundaries[shard - 1] if shard > 0 else None
@@ -496,6 +511,10 @@ class ShardedFingerprintStore:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
+
+    def _check_shard(self, shard: int) -> None:
+        if not 0 <= shard < self._n_shards:
+            raise StoreError(f"shard {shard} out of range for {self._n_shards} shards")
 
     def _check_serviceable(self) -> None:
         if self._needs_recovery:
@@ -572,8 +591,7 @@ class ShardedFingerprintStore:
         planned: List[Tuple[SegmentRecord, bytes]] = []
         for shard in sorted(per_shard):
             rows = per_shard[shard]
-            segment_id = self._next_segment_id(shard)
-            filename = f"shard-{shard:03d}/segment-{segment_id:06d}.pcfp"
+            filename = self.next_segment_filename(shard)
             segment_db = FingerprintDatabase()
             for _sequence, key, fingerprint in rows:
                 segment_db.add(key, fingerprint)
@@ -621,7 +639,7 @@ class ShardedFingerprintStore:
         """The durable half of :meth:`ingest`: journal, segments (each
         with its shard directory), manifest, retirement.  A failure
         leaves the handle for :meth:`recover` to re-read from disk."""
-        journal = Journal(self._io, self.journal_path)
+        journal = Journal(self._io, self._root / _JOURNAL_NAME)
         journal.begin(
             json_bytes(
                 {
@@ -651,21 +669,48 @@ class ShardedFingerprintStore:
     def recover(self) -> RecoveryReport:
         """Resolve interrupted commits; idempotent, safe to re-run.
 
-        Re-reads the manifest, then resolves a pending ingest journal
-        and a pending compaction journal by the one rule of
+        Re-reads the manifest, then resolves every pending journal of
+        :data:`STORE_JOURNALS` in turn by the one rule of
         :class:`~repro.reliability.durable.Journal`: forward when the
-        batch (or merge) already reached the manifest or its new
-        segments verify on disk, back (new files deleted) otherwise.
-        Finally, segment files referenced by neither the manifest nor
-        quarantine — orphans from a pre-journal crash or a torn
-        rollback — are swept, along with stale ``.tmp`` temporaries.
-        Committed fingerprints are never touched.
+        commit already reached the manifest or its new segments verify
+        on disk, back (new files deleted) otherwise.  Finally, segment
+        files referenced by neither the manifest nor quarantine —
+        orphans from a pre-journal crash or a torn rollback — are
+        swept, along with stale ``.tmp`` temporaries.  Committed
+        fingerprints are never touched.
         """
         report = RecoveryReport()
         manifest_path = self._root / _MANIFEST_NAME
         if manifest_path.exists():
-            self._apply_manifest(self._read_manifest(manifest_path))
-        journal = Journal(self._io, self.journal_path)
+            self._apply_manifest(load_manifest(self._root, self._io))
+        for row in STORE_JOURNALS:
+            journal = Journal(self._io, self._root / row.filename)
+            if row.resolve(self, journal, report) is not None:
+                self._metrics.count("store.recoveries")
+        # Sweep leftovers: a stale manifest temporary, any segment
+        # file no manifest entry references, and segment temporaries a
+        # crashed compaction left beside its output.
+        discard(self._io, [temporary(manifest_path)])
+        for relative in unreferenced_files(self._root, self._segments):
+            self._io.remove(self._root / relative)
+            report.orphans_removed.append(relative)
+        self._cache.clear()
+        self._blooms.clear()
+        self._needs_recovery = False
+        if (
+            report.journal_found
+            or report.compaction_journal_found
+            or report.orphans_removed
+        ):
+            # Stash non-trivial outcomes so a later repair pass can
+            # report a recovery that ran implicitly at open time.
+            self._last_recovery = report
+        return report
+
+    def _recover_ingest(
+        self, journal: Journal, report: RecoveryReport
+    ) -> Optional[bool]:
+        """Resolve a pending ingest journal into ``report``."""
         report.journal_found = journal.pending()
 
         def landed(intent: Intent) -> bool:
@@ -698,45 +743,17 @@ class ShardedFingerprintStore:
                     f"dropped {len(planned)} incomplete planned segment(s)"
                 )
 
-        if journal.recover(
+        return journal.recover(
             lambda intent: landed(intent)
             or all(map(self._segment_verifies, _planned(intent))),
             forward,
             back,
-        ) is not None:
-            self._metrics.count("store.recoveries")
-        self._recover_compaction(report)
-        self._recover_quarantine()
-        # Sweep leftovers: a stale manifest temporary, any segment
-        # file no manifest entry references, and segment temporaries a
-        # crashed compaction left beside its output.
-        discard(self._io, [temporary(manifest_path)])
-        referenced = {record.filename for record in self._segments}
-        for orphan in sorted(self._root.glob("shard-*/*.pcfp")):
-            relative = orphan.relative_to(self._root).as_posix()
-            if relative not in referenced:
-                self._io.remove(orphan)
-                report.orphans_removed.append(relative)
-        for leftover in sorted(self._root.glob("shard-*/*.pcfp.tmp")):
-            relative = leftover.relative_to(self._root).as_posix()
-            self._io.remove(leftover)
-            report.orphans_removed.append(relative)
-        self._cache.clear()
-        self._blooms.clear()
-        self._needs_recovery = False
-        if (
-            report.journal_found
-            or report.compaction_journal_found
-            or report.orphans_removed
-        ):
-            # Stash non-trivial outcomes so a later repair pass can
-            # report a recovery that ran implicitly at open time.
-            self._last_recovery = report
-        return report
+        )
 
-    def _recover_compaction(self, report: RecoveryReport) -> None:
+    def _recover_compaction(
+        self, journal: Journal, report: RecoveryReport
+    ) -> Optional[bool]:
         """Resolve a pending compaction journal into ``report``."""
-        journal = Journal(self._io, self.compaction_journal_path)
         report.compaction_journal_found = journal.pending()
 
         def swapped(intent: Intent) -> bool:
@@ -771,13 +788,13 @@ class ShardedFingerprintStore:
             if intent is not None:
                 self._metrics.count("store.compaction_recovered_back")
 
-        if journal.recover(verify, forward, back) is not None:
-            self._metrics.count("store.recoveries")
+        return journal.recover(verify, forward, back)
 
-    def _recover_quarantine(self) -> None:
+    def _recover_quarantine(
+        self, journal: Journal, _report: RecoveryReport
+    ) -> Optional[bool]:
         """Resolve a pending quarantine journal: forward once the salvage
         replacement (if any) is fully on disk, else drop the replacement."""
-        journal = Journal(self._io, self.quarantine_journal_path)
 
         def landed(intent: Intent) -> bool:
             return SegmentRecord.from_json(intent["record"]) not in self._segments
@@ -800,8 +817,7 @@ class ShardedFingerprintStore:
                 replacement = SegmentRecord.from_json(intent["replacement"])
                 discard(self._io, [self._root / replacement.filename])
 
-        if journal.recover(verify, forward, back) is not None:
-            self._metrics.count("store.recoveries")
+        return journal.recover(verify, forward, back)
 
     def take_recovery_report(self) -> Optional[RecoveryReport]:
         """Most recent non-trivial recovery, consumed exactly once.
@@ -819,7 +835,7 @@ class ShardedFingerprintStore:
         if not path.exists():
             return False
         try:
-            database = self._load_segment(record)
+            database = self.read_segment(record)
         except (OSError, ValueError):
             return False
         return len(database) == record.count
@@ -864,7 +880,7 @@ class ShardedFingerprintStore:
                 continue
             scanned += 1
             self._metrics.count("store.bloom_segment_loads")
-            segment_db = self._load_segment(segment)
+            segment_db = self.read_segment(segment)
             if key in segment_db:
                 for sequence, stored_key in zip(
                     segment.sequences(), segment_db.keys()
@@ -985,7 +1001,7 @@ class ShardedFingerprintStore:
                     f"output filename {output.filename} is already live"
                 )
         source_filenames = [record.filename for record in sources]
-        journal = Journal(self._io, self.compaction_journal_path)
+        journal = Journal(self._io, self._root / _COMPACTION_JOURNAL_NAME)
         try:
             journal.begin(
                 json_bytes(
@@ -1065,7 +1081,7 @@ class ShardedFingerprintStore:
             "evidence": evidence.relative_to(self._root).as_posix(),
             "replacement": None if replacement is None else replacement[0].to_json(),
         }
-        journal = Journal(self._io, self.quarantine_journal_path)
+        journal = Journal(self._io, self._root / _QUARANTINE_JOURNAL_NAME)
         try:
             journal.begin(json_bytes(intent, indent=2))
             if replacement is not None:
@@ -1120,11 +1136,7 @@ class ShardedFingerprintStore:
         spans: List[Tuple[int, int]] = []
         for entry in entries:
             self._quarantined.remove(entry)
-            record = entry.record
-            if record.runs:
-                spans.extend(record.runs)
-            else:
-                spans.append((record.start_sequence, record.original_count))
+            spans.extend(entry.record.spans())
         self._reclaimed = coalesce_runs(self._reclaimed + spans)
         self._write_manifest()
         self._metrics.count("store.quarantine_pruned", len(entries))
@@ -1133,14 +1145,11 @@ class ShardedFingerprintStore:
     # Reading
     # ------------------------------------------------------------------
 
-    def _load_segment(self, record: SegmentRecord) -> FingerprintDatabase:
-        """Strictly load one segment through the IO seam."""
+    def read_segment(self, record: SegmentRecord) -> FingerprintDatabase:
+        """Strictly load one segment through the IO seam (also
+        compaction's merge input)."""
         data = self._io.read_bytes(self._root / record.filename)
         return load_database(io.BytesIO(data))
-
-    def read_segment(self, record: SegmentRecord) -> FingerprintDatabase:
-        """Strictly load one live segment (compaction's merge input)."""
-        return self._load_segment(record)
 
     def segment_path(self, record: SegmentRecord) -> Path:
         """On-disk location of a segment file."""
@@ -1148,10 +1157,7 @@ class ShardedFingerprintStore:
 
     def next_segment_filename(self, shard: int) -> str:
         """Store-relative filename the next segment of ``shard`` gets."""
-        if not 0 <= shard < self._n_shards:
-            raise StoreError(
-                f"shard {shard} out of range for {self._n_shards} shards"
-            )
+        self._check_shard(shard)
         return f"shard-{shard:03d}/segment-{self._next_segment_id(shard):06d}.pcfp"
 
     def _segment_bloom(self, record: SegmentRecord) -> Optional[BloomFilter]:
@@ -1162,24 +1168,10 @@ class ShardedFingerprintStore:
             )
         return self._blooms[record.filename]
 
-    def _known_keys(self) -> set:
-        known: set = set()
-        for shard in range(self._n_shards):
-            cached = self._cache.get(shard)
-            if cached is not None:
-                known.update(cached.sequences)
-            else:
-                for segment in self._segments:
-                    if segment.shard == shard:
-                        known.update(self._load_segment(segment).keys())
-        known.update(self._tombstones)
-        return known
-
     def _find_existing(self, keys: Sequence[str]) -> set:
         """Subset of ``keys`` already present in the store.
 
-        The bloom-accelerated replacement for intersecting against
-        :meth:`_known_keys`: per shard, a warm replica answers from
+        Bloom-accelerated: per shard, a warm replica answers from
         memory, and a cold shard only loads the segments whose filter
         admits at least one of the probed keys.  Tombstoned keys count
         as present — their sequence is still assigned, so the key
@@ -1207,7 +1199,7 @@ class ShardedFingerprintStore:
                 if not candidates:
                     self._metrics.count("store.bloom_segment_skips")
                     continue
-                stored = set(self._load_segment(segment).keys())
+                stored = set(self.read_segment(segment).keys())
                 clashes.update(key for key in candidates if key in stored)
         return clashes
 
@@ -1222,10 +1214,7 @@ class ShardedFingerprintStore:
         loads are counted in the metrics.
         """
         self._check_serviceable()
-        if not 0 <= shard < self._n_shards:
-            raise StoreError(
-                f"shard {shard} out of range for {self._n_shards} shards"
-            )
+        self._check_shard(shard)
         cached = self._cache.get(shard)
         if cached is not None:
             self._metrics.count("store.shard_cache_hits")
@@ -1241,7 +1230,7 @@ class ShardedFingerprintStore:
                 key=lambda record: record.start_sequence,
             )
             for segment in shard_segments:
-                segment_db = self._load_segment(segment)
+                segment_db = self.read_segment(segment)
                 if len(segment_db) != segment.count:
                     raise StoreError(
                         f"segment {segment.filename} holds {len(segment_db)} "
@@ -1281,6 +1270,69 @@ class ShardedFingerprintStore:
             )
         rows.sort()
         return [key for _sequence, key in rows]
+
+
+@dataclass(frozen=True)
+class StoreJournal:
+    """One write-ahead journal of the store (DESIGN.md §8).
+
+    ``explains`` returns ``(retired, added)``: the segment files a
+    pending intent's commit moves or deletes out of the manifest, and
+    the ones it creates.  ``verify-store`` reports them as recoverable,
+    a missing manifest entry only when retired: ``recover()`` never
+    recreates an added file.
+    """
+
+    filename: str
+    label: str
+    resolve: Callable[
+        [ShardedFingerprintStore, Journal, RecoveryReport], Optional[bool]
+    ]
+    explains: Callable[[Intent], Tuple[List[str], List[str]]]
+
+
+def _filenames(*records: Optional[Dict[str, object]]) -> List[str]:
+    """Filenames of the manifest records an intent names."""
+    return [str(record["filename"]) for record in records if record is not None]
+
+
+#: The store's journals, in the order :meth:`ShardedFingerprintStore.recover`
+#: resolves them.
+STORE_JOURNALS = (
+    StoreJournal(
+        _JOURNAL_NAME,
+        "ingest",
+        ShardedFingerprintStore._recover_ingest,
+        lambda intent: ([], _filenames(*intent.get("planned", []))),
+    ),
+    StoreJournal(
+        _COMPACTION_JOURNAL_NAME,
+        "compaction",
+        ShardedFingerprintStore._recover_compaction,
+        lambda intent: (
+            [str(name) for name in intent.get("sources", [])],
+            _filenames(intent.get("output")),
+        ),
+    ),
+    StoreJournal(
+        _QUARANTINE_JOURNAL_NAME,
+        "quarantine",
+        ShardedFingerprintStore._recover_quarantine,
+        lambda intent: (
+            _filenames(intent.get("record")),
+            _filenames(intent.get("replacement")),
+        ),
+    ),
+)
+
+
+def unreferenced_files(root: Path, segments: Iterable[SegmentRecord]) -> List[str]:
+    """Segment files, then segment temporaries, under ``root`` that no
+    manifest entry in ``segments`` names (store-relative, sorted)."""
+    referenced = {record.filename for record in segments}
+    paths = sorted(root.glob("shard-*/*.pcfp")) + sorted(root.glob("shard-*/*.pcfp.tmp"))
+    names = [path.relative_to(root).as_posix() for path in paths]
+    return [name for name in names if name not in referenced]
 
 
 def _planned(intent: Intent) -> List[SegmentRecord]:

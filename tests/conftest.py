@@ -7,6 +7,8 @@ them across tests changes nothing about what is exercised.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ from repro.dram import (
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def fault_seed() -> int:
+    """Seed for injected corruption (CI matrix via REPRO_FAULT_SEED)."""
+    return int(os.environ.get("REPRO_FAULT_SEED", "2015"))
 
 
 @pytest.fixture

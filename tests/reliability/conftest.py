@@ -7,8 +7,6 @@ values; locally the default seed keeps runs deterministic.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -19,14 +17,9 @@ NBITS = 512
 
 
 @pytest.fixture
-def fault_seed() -> int:
-    """Seed for injected corruption (CI matrix via REPRO_FAULT_SEED)."""
-    return int(os.environ.get("REPRO_FAULT_SEED", "2015"))
-
-
-@pytest.fixture
 def fault_rng(fault_seed: int) -> np.random.Generator:
-    """RNG derived from the fault seed, for test-local corruption."""
+    """RNG derived from the fault seed (``tests/conftest.py``), for
+    test-local corruption."""
     return np.random.default_rng(fault_seed)
 
 

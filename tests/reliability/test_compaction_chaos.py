@@ -202,14 +202,14 @@ class TestVerifyPendingCompaction:
         work = self._pending_state(root, tmp_path)
         verification = verify_store(work)
         assert not verification.ok
-        assert verification.compaction_pending
+        assert verification.pending_journals == ["compaction"]
         assert verification.recoverable
         assert any(
             "compaction" in line for line in verification.problems()
         )
         # The merge output the crash left beside the manifest is a
         # pending-compaction file, not an orphan.
-        assert verification.pending_compaction_files
+        assert verification.pending_files
         assert not verification.orphan_files
 
     def test_deleted_source_is_a_recoverable_finding(
@@ -244,3 +244,31 @@ class TestVerifyPendingCompaction:
         after = verify_store(work)
         assert after.ok
         assert oracle(work) == oracle(root)
+
+    def test_deleted_merge_output_is_not_recoverable(
+        self, base_store, tmp_path
+    ):
+        """A file the pending merge created and already published cannot
+        come back through ``recover()``: missing, it is data loss, not a
+        recoverable finding (only the files a merge retires are)."""
+        root, _victims = base_store
+        clean = clean_run(root, tmp_path)
+        source_discard = next(
+            index + 1
+            for index, (name, _path) in enumerate(clean["log"])
+            if name == "remove"
+        )
+        work = tmp_path / "swapped"
+        shutil.copytree(root, work)
+        io_ = FaultyIO(FaultPlan(fail_at=clean["open_ops"] + source_discard))
+        store = ShardedFingerprintStore(work, storage_io=io_)
+        with pytest.raises(OSError):
+            Compactor(store, ONE_MERGE_POLICY).run_once()
+        journal = json.loads((work / "compaction-journal.json").read_text())
+        output = journal["output"]["filename"]
+        assert output in live_filenames(read_manifest(work))
+        (work / output).unlink()
+
+        verification = verify_store(work)
+        assert not verification.recoverable
+        assert f"{output}: MISSING" in verification.problems()

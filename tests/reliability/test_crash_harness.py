@@ -12,7 +12,11 @@ user, every ``FaultyIO`` operation of its commit and every fault mode
 * a second recovery changes no bytes (and reports nothing to do);
 * a rolled-back state really is the pre-state: re-running the commit
   from it lands on the exact post-state (no duplicated effects);
-* the user's own invariant holds (verify-store OK, query oracle, ...).
+* the user's own invariant holds (verify-store OK, query oracle, ...);
+* for the store's own journals, ``verify_store`` judges the crashed
+  state before recovery: every finding the pre-state lacks is one
+  ``recover()`` resolves, a store journal on disk is never ``ok``, and
+  after recovery the verdict is the pre- or the post-state's.
 
 The observed state is every file under the user's root except stale
 ``.tmp`` temporaries, which nothing ever reads; users whose recovery
@@ -54,6 +58,7 @@ from repro.service import (
 )
 from repro.service.placement import PlacementStore
 from repro.service.rpc import write_sequence_map
+from repro.service.store import STORE_JOURNALS
 from repro.service.stream import FATAL_NAME, REPORT_NAME
 from tests.reliability.conftest import make_batch
 from tests.reliability.test_compaction import build_store, oracle
@@ -122,6 +127,9 @@ class User:
     check: Callable[[Path, Any, int, str], None] = lambda *args: None
     #: Recovery sweeps stale temporaries.
     sweeps_tmp: bool = False
+    #: Store directory (under root) ``verify_store`` judges between the
+    #: crash and the recovery.
+    store: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +340,7 @@ USERS = [
         idle=("none", "none", ()),
         check=store_check,
         sweeps_tmp=True,
+        store="store",
     ),
     User(
         "compaction",
@@ -341,6 +350,7 @@ USERS = [
         idle=("none", "none", ()),
         check=compaction_check,
         sweeps_tmp=True,
+        store="store",
     ),
     User(
         "segment-quarantine",
@@ -350,6 +360,7 @@ USERS = [
         idle=("none", "none", ()),
         check=quarantine_check,
         sweeps_tmp=True,
+        store="store",
     ),
     User(
         "placement",
@@ -404,6 +415,32 @@ def _differing(left: Dict[str, bytes], right: Dict[str, bytes]):
     )
 
 
+def _verdict(user: User, root: Path) -> Optional[Dict[str, Any]]:
+    """The user's ``verify_store`` report, without its root path."""
+    if user.store is None:
+        return None
+    report = verify_store(root / user.store).to_json()
+    del report["root"]
+    return report
+
+
+def _judge_crashed(user: User, root: Path, pre: Dict[str, Any], where: str):
+    """verify-store on a crashed state, before any recovery runs."""
+    verification = verify_store(root / user.store)
+    unrecoverable = [
+        line
+        for line, recoverable in verification.findings()
+        if not recoverable and line not in pre["problems"]
+    ]
+    assert not unrecoverable, f"{where}: unrecoverable findings {unrecoverable}"
+    journals = [
+        row.filename
+        for row in STORE_JOURNALS
+        if (root / user.store / row.filename).exists()
+    ]
+    assert not (journals and verification.ok), f"{where}: ok beside {journals}"
+
+
 def _settle(user: User, root: Path) -> Dict[str, bytes]:
     """Recover twice; the second pass must find nothing to do."""
     user.recover(root)
@@ -423,6 +460,7 @@ class TestCrashHarness:
         base.mkdir()
         ctx = user.setup(base, np.random.default_rng(fault_seed))
         pre = user.observe(base)
+        verdicts = [_verdict(user, base)]
 
         clean = tmp_path / "clean"
         shutil.copytree(base, clean)
@@ -430,6 +468,7 @@ class TestCrashHarness:
         user.commit(clean, counter, ctx)
         post = _settle(user, clean)
         assert pre != post, "the commit changed nothing"
+        verdicts.append(_verdict(user, clean))
 
         outcomes = set()
         for op in range(1, counter.ops + 1):
@@ -442,15 +481,18 @@ class TestCrashHarness:
                 # The injected fault, or a store/stream error wrapping it.
                 pass
             assert faulty.faults_fired == 1, f"op {op} never ran"
+            where = f"{user.name}: {mode} at op {op} ({faulty.log[op - 1]})"
+            if user.store is not None:
+                _judge_crashed(user, work, verdicts[0], where)
             state = _settle(user, work)
+            assert _verdict(user, work) in verdicts, f"{where}: verdict"
             if state == pre:
                 outcome = "pre"
             elif state == post:
                 outcome = "post"
             else:
                 raise AssertionError(
-                    f"{user.name}: {mode} at op {op} ({faulty.log[op - 1]}) "
-                    f"left a hybrid state: differs from pre in "
+                    f"{where} left a hybrid state: differs from pre in "
                     f"{_differing(state, pre)}, from post in "
                     f"{_differing(state, post)}"
                 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 import time
 
@@ -22,6 +23,7 @@ from repro.service import (
     BatchIdentificationService,
     BatchQuery,
     ShardedFingerprintStore,
+    StoreError,
 )
 from tests.reliability.conftest import make_batch
 
@@ -141,6 +143,41 @@ class TestRepairIsInvisibleOnHealthyStore:
             errors.set(bit, True)
         query = [BatchQuery.from_errors(key, errors)]
         assert decisions(repaired, query) == decisions(control, query)
+
+
+def _drop_segments(manifest):
+    del manifest["segments"]
+
+
+def _drop_n_shards(manifest):
+    del manifest["n_shards"]
+
+
+def _tombstone_without_sequence(manifest):
+    manifest["tombstones"] = [{"key": "dev-0000"}]
+
+
+class TestMalformedManifest:
+    """The store and verify-store read one manifest parser, so they
+    agree on what is malformed."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_drop_segments, _drop_n_shards, _tombstone_without_sequence],
+        ids=["no-segments", "no-n_shards", "tombstone-without-sequence"],
+    )
+    def test_open_and_verify_both_reject(self, tmp_path, rng, damage):
+        root = tmp_path / "s"
+        ShardedFingerprintStore(root, n_shards=2).ingest(make_batch(10, rng))
+        manifest = json.loads((root / "manifest.json").read_text())
+        damage(manifest)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="malformed manifest"):
+            ShardedFingerprintStore(root)
+        verification = verify_store(root)
+        assert not verification.manifest_ok
+        assert not verification.ok and not verification.recoverable
+        assert verification.problems()[0].startswith("manifest: malformed")
 
 
 class TestSalvage:

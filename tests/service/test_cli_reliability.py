@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.reporting import set_results_dir
@@ -12,7 +13,9 @@ from repro.bits import BitVector
 from repro.cli import main
 from repro.core import Fingerprint, FingerprintDatabase
 from repro.core.serialize import dump_database
+from repro.reliability import FaultPlan, FaultyIO, repair_store
 from repro.service import ShardedFingerprintStore
+from tests.reliability.test_repair import corrupt_record
 
 NBITS = 512
 
@@ -328,4 +331,28 @@ class TestVerifyRecoverableCLI:
         # Repair resolves the pending merge; verify is clean again.
         assert main(["repair", "--store", str(root)]) == 0
         assert not (root / "compaction-journal.json").exists()
+        assert main(["verify-store", "--store", str(root)]) == 0
+
+    def test_crashed_quarantine_is_flagged_recoverable(
+        self, populated_store, fault_seed, capsys
+    ):
+        """A repair killed at the manifest tmp write inside
+        quarantine_segment: the damaged file already moved aside, its
+        salvage written, the quarantine journal pending."""
+        root, store = populated_store
+        rng = np.random.default_rng(fault_seed)
+        victim = store.segments[0]
+        corrupt_record(root / victim.filename, int(rng.integers(victim.count)), rng)
+        # The window spans every op; `match` fires it on the first one
+        # touching the manifest temporary, its write.
+        plan = FaultPlan(fail_at=1, fail_count=10**6, match="manifest.json.tmp")
+        with pytest.raises(OSError):
+            repair_store(ShardedFingerprintStore(root, storage_io=FaultyIO(plan)))
+        assert (root / "quarantine-journal.json").exists()
+        assert main(["verify-store", "--store", str(root)]) == 1
+        assert (
+            "INCONSISTENT (recoverable: reopen the store or run 'repro repair')"
+            in capsys.readouterr().out
+        )
+        assert main(["repair", "--store", str(root)]) == 0
         assert main(["verify-store", "--store", str(root)]) == 0
