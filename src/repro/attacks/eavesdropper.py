@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.distance import DEFAULT_THRESHOLD
-from repro.core.minhash import MinHasher
 from repro.core.stitch import Stitcher, StitchReport
 from repro.system.approx_system import ModeledApproximateMemory
 
@@ -78,12 +77,9 @@ class EavesdropperAttacker:
         self,
         threshold: float = DEFAULT_THRESHOLD,
         min_overlap_pages: int = 1,
-        hasher: Optional[MinHasher] = None,
     ):
         self._stitcher = Stitcher(
-            threshold=threshold,
-            min_overlap_pages=min_overlap_pages,
-            hasher=hasher,
+            threshold=threshold, min_overlap_pages=min_overlap_pages
         )
 
     @property

@@ -1034,11 +1034,12 @@ def _repair(args: argparse.Namespace) -> int:
             payload["prune"] = prune.to_json()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if report.recovery.action != "none":
-        print(
-            f"recovery: {report.recovery.action} ({report.recovery.detail})"
-        )
-    for orphan in report.recovery.orphans_removed:
+    recovery = report.recovery
+    for action in recovery.journal_actions():
+        # Only the ingest outcome carries a detail line.
+        detail = f" ({recovery.detail})" if action == recovery.action else ""
+        print(f"recovery: {action}{detail}")
+    for orphan in recovery.orphans_removed:
         print(f"removed orphan segment: {orphan}")
     for filename, reason in report.quarantined:
         print(f"quarantined {filename}: {reason}")

@@ -17,7 +17,7 @@ the caller — LSH is a recall filter, not a decision procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -81,20 +81,12 @@ class MinHasher:
 
     def band_keys(self, signature: np.ndarray) -> List[Tuple[int, bytes]]:
         """LSH band keys of a signature: ``(band_index, band_bytes)``."""
-        params = self._params
-        keys = []
-        for band in range(params.bands):
-            start = band * params.rows_per_band
-            chunk = signature[start : start + params.rows_per_band]
-            keys.append((band, chunk.tobytes()))
-        return keys
-
-    @staticmethod
-    def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-        """Jaccard similarity estimate from two signatures."""
-        if sig_a.shape != sig_b.shape:
-            raise ValueError("signature shapes differ")
-        return float(np.mean(sig_a == sig_b))
+        raw = signature.tobytes()
+        width = self._params.rows_per_band * signature.itemsize
+        return [
+            (band, raw[band * width : (band + 1) * width])
+            for band in range(self._params.bands)
+        ]
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
@@ -102,75 +94,47 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
 
     A bijective avalanche mix on uint64: every input bit affects every
     output bit, so ``min`` over a salted mix behaves like a MinHash
-    under an independent random permutation per salt.  uint64 overflow
-    wraps, which is exactly the mod-2^64 arithmetic the mix needs.
+    under an independent random permutation per salt.  uint64 array
+    arithmetic wraps without a warning, which is exactly the mod-2^64
+    arithmetic the mix needs; the steps after the first run in place.
     """
-    with np.errstate(over="ignore"):
-        mixed = values + np.uint64(0x9E3779B97F4A7C15)
-        mixed = (mixed ^ (mixed >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        mixed = (mixed ^ (mixed >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return mixed ^ (mixed >> np.uint64(31))
-
-
-#: Bands a stored vector must share with a query to become a candidate.
-MIN_BAND_MATCHES = 1
+    mixed = values + np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(30)
+    mixed *= np.uint64(0xBF58476D1CE4E5B9)
+    mixed ^= mixed >> np.uint64(27)
+    mixed *= np.uint64(0x94D049BB133111EB)
+    mixed ^= mixed >> np.uint64(31)
+    return mixed
 
 
 class LSHIndex:
-    """Banded LSH index from bit vectors to caller-defined values.
+    """Banded LSH index from band keys to caller-defined values.
 
-    ``add`` stores a value under every band key of the vector's
-    signature; ``query`` returns the union of values colliding with the
-    query vector in at least :data:`MIN_BAND_MATCHES` band.
+    Callers sign each set once (:meth:`MinHasher.signature_of_indices`,
+    then :meth:`MinHasher.band_keys`) and hand the same keys to both
+    ``query`` and ``add``.  ``add`` stores a value under every key;
+    ``query`` returns the union of values stored under any of them.
     """
 
-    def __init__(self, hasher: MinHasher = None):
-        self._hasher = hasher if hasher is not None else MinHasher()
+    def __init__(self) -> None:
         self._buckets: Dict[Tuple[int, bytes], List[Hashable]] = {}
         self._size = 0
-
-    @property
-    def hasher(self) -> MinHasher:
-        """Underlying MinHash engine."""
-        return self._hasher
 
     def __len__(self) -> int:
         return self._size
 
-    def add(self, bits: BitVector, value: Hashable) -> None:
-        """Index ``value`` under the vector's band keys.
-
-        Empty vectors are silently skipped (they carry no signal).
-        """
-        if not bits.any():
-            return
-        signature = self._hasher.signature(bits)
-        for key in self._hasher.band_keys(signature):
+    def add(self, keys: Sequence[Tuple[int, bytes]], value: Hashable) -> None:
+        """Index ``value`` under each of a signature's band keys."""
+        for key in keys:
             self._buckets.setdefault(key, []).append(value)
         self._size += 1
 
-    def query(self, bits: BitVector) -> Set[Hashable]:
-        """Values sharing at least :data:`MIN_BAND_MATCHES` band with ``bits``."""
-        if not bits.any():
-            return set()
-        signature = self._hasher.signature(bits)
-        counts: Dict[Hashable, int] = {}
-        for key in self._hasher.band_keys(signature):
-            for value in self._buckets.get(key, ()):
-                counts[value] = counts.get(value, 0) + 1
-        return {
-            value
-            for value, count in counts.items()
-            if count >= MIN_BAND_MATCHES
-        }
+    def query(self, keys: Sequence[Tuple[int, bytes]]) -> Set[Hashable]:
+        """Values sharing at least one band key with ``keys``.
 
-    def query_counts(self, bits: BitVector) -> Dict[Hashable, int]:
-        """Band-collision counts per candidate (for ranked candidates)."""
-        if not bits.any():
-            return {}
-        signature = self._hasher.signature(bits)
-        counts: Dict[Hashable, int] = {}
-        for key in self._hasher.band_keys(signature):
-            for value in self._buckets.get(key, ()):
-                counts[value] = counts.get(value, 0) + 1
-        return counts
+        The set is built in first-collision order (band by band, bucket
+        order within a band), which fixes its iteration order for
+        callers that break ties by it.
+        """
+        buckets = self._buckets
+        return {value for key in keys for value in buckets.get(key, ())}

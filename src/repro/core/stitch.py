@@ -10,9 +10,10 @@ a longer partial memory fingerprint.
 
 :class:`Stitcher` implements this incrementally:
 
-1. page fingerprints of the new output are looked up in an LSH index
+1. each page of the new output is signed once (its set bits, weight
+   and MinHash band keys); the keys are looked up in an LSH index
    (:mod:`repro.core.minhash`) to propose ``(assembly, alignment)``
-   candidates;
+   candidates, and the same keys index the pages afterwards;
 2. every candidate alignment is *verified* page-by-page with the
    Algorithm 3 distance — at least ``min_overlap_pages`` overlapping
    pages must agree and at least ``min_agreement`` of them must match;
@@ -37,6 +38,10 @@ from repro.bits import BitVector
 from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
 from repro.core.fingerprint import Fingerprint
 from repro.core.minhash import LSHIndex, MinHasher
+
+#: Per-page LSH band keys of one output; ``None`` marks a page that
+#: is neither queried nor indexed (weight under ``min_page_weight``).
+_PageKeys = List[Optional[List[Tuple[int, bytes]]]]
 
 
 class OffsetUnionFind:
@@ -155,7 +160,6 @@ class Stitcher:
         min_overlap_pages: int = 1,
         min_agreement: float = 0.75,
         min_page_weight: int = 8,
-        hasher: Optional[MinHasher] = None,
     ):
         """
         Parameters
@@ -172,14 +176,13 @@ class Stitcher:
             Pages with fewer volatile bits than this are treated as
             signal-free: skipped for candidate generation and excluded
             from agreement scoring.
-        hasher:
-            MinHash engine for the candidate index.
         """
         self._threshold = threshold
         self._min_overlap_pages = min_overlap_pages
         self._min_agreement = min_agreement
         self._min_page_weight = min_page_weight
-        self._index = LSHIndex(hasher=hasher)
+        self._hasher = MinHasher()
+        self._index = LSHIndex()
         self._union = OffsetUnionFind()
         self._page_bits: Optional[int] = None
         #: root id -> Assembly, for live roots only.
@@ -236,12 +239,13 @@ class Stitcher:
             )
         output_id = self._outputs_seen
         self._outputs_seen += 1
+        weights, keys = self._sign_pages(page_errors)
 
-        alignments = self._verified_alignments(page_errors)
+        alignments = self._verified_alignments(page_errors, weights, keys)
         merged = len(alignments)
 
         if not alignments:
-            root = self._new_assembly(page_errors, output_id)
+            root = self._new_assembly(page_errors, keys, output_id)
             return StitchReport(
                 output_id=output_id,
                 assembly_id=root,
@@ -250,7 +254,7 @@ class Stitcher:
             )
 
         root, shift, aligned_pages = self._merge_alignments(alignments)
-        self._absorb_output(root, shift, page_errors, output_id)
+        self._absorb_output(root, shift, page_errors, keys, output_id)
         return StitchReport(
             output_id=output_id,
             assembly_id=root,
@@ -262,8 +266,27 @@ class Stitcher:
     # Alignment search
     # ------------------------------------------------------------------
 
-    def _verified_alignments(
+    def _sign_pages(
         self, page_errors: Sequence[BitVector]
+    ) -> Tuple[List[int], _PageKeys]:
+        """Each page's weight and band keys, one signature per page.
+
+        Empty pages and pages under ``min_page_weight`` are not signed.
+        """
+        weights: List[int] = []
+        keys: _PageKeys = []
+        for errors in page_errors:
+            indices = errors.to_indices()
+            weights.append(indices.size)
+            if indices.size and indices.size >= self._min_page_weight:
+                signature = self._hasher.signature_of_indices(indices)
+                keys.append(self._hasher.band_keys(signature))
+            else:
+                keys.append(None)
+        return weights, keys
+
+    def _verified_alignments(
+        self, page_errors: Sequence[BitVector], weights: List[int], keys: _PageKeys
     ) -> List[Tuple[int, int, int]]:
         """Verified ``(root, shift, matching_pages)`` alignments.
 
@@ -271,10 +294,10 @@ class Stitcher:
         At most one alignment per assembly root is returned (the best).
         """
         votes: Dict[Tuple[int, int], int] = {}
-        for page_position, errors in enumerate(page_errors):
-            if errors.popcount() < self._min_page_weight:
+        for page_position, page_keys in enumerate(keys):
+            if page_keys is None:
                 continue
-            for element, offset in self._index.query(errors):
+            for element, offset in self._index.query(page_keys):
                 root, base = self._union.find(element)
                 if root not in self._assemblies:
                     continue
@@ -290,20 +313,24 @@ class Stitcher:
 
         verified = []
         for root, (shift, _count) in best_per_root.items():
-            matches = self._score_alignment(root, shift, page_errors)
+            matches = self._score_alignment(root, shift, page_errors, weights)
             if matches is not None:
                 verified.append((root, shift, matches))
         return verified
 
     def _score_alignment(
-        self, root: int, shift: int, page_errors: Sequence[BitVector]
+        self,
+        root: int,
+        shift: int,
+        page_errors: Sequence[BitVector],
+        weights: List[int],
     ) -> Optional[int]:
         """Matching-page count if the alignment verifies, else None."""
         assembly = self._assemblies[root]
         compared = 0
         matched = 0
         for page_position, errors in enumerate(page_errors):
-            if errors.popcount() < self._min_page_weight:
+            if weights[page_position] < self._min_page_weight:
                 continue
             existing = assembly.pages.get(shift + page_position)
             if existing is None or existing.weight < self._min_page_weight:
@@ -323,12 +350,12 @@ class Stitcher:
     # ------------------------------------------------------------------
 
     def _new_assembly(
-        self, page_errors: Sequence[BitVector], output_id: int
+        self, page_errors: Sequence[BitVector], keys: _PageKeys, output_id: int
     ) -> int:
         element = self._union.make_set()
         assembly = Assembly(output_ids=[output_id])
         self._assemblies[element] = assembly
-        self._insert_pages(element, 0, page_errors, assembly)
+        self._insert_pages(element, 0, page_errors, keys, assembly)
         return element
 
     def _merge_alignments(
@@ -384,25 +411,27 @@ class Stitcher:
         root: int,
         shift: int,
         page_errors: Sequence[BitVector],
+        keys: _PageKeys,
         output_id: int,
     ) -> None:
         assembly = self._assemblies[root]
         assembly.output_ids.append(output_id)
-        self._insert_pages(root, shift, page_errors, assembly)
+        self._insert_pages(root, shift, page_errors, keys, assembly)
 
     def _insert_pages(
         self,
         element: int,
         shift: int,
         page_errors: Sequence[BitVector],
+        keys: _PageKeys,
         assembly: Assembly,
     ) -> None:
-        for page_position, errors in enumerate(page_errors):
+        for page_position, (errors, page_keys) in enumerate(zip(page_errors, keys)):
             offset = shift + page_position
             existing = assembly.pages.get(offset)
             if existing is None:
                 assembly.pages[offset] = Fingerprint(bits=errors.copy())
             else:
                 assembly.pages[offset] = existing.intersect(errors)
-            if errors.popcount() >= self._min_page_weight:
-                self._index.add(errors, (element, offset))
+            if page_keys is not None:
+                self._index.add(page_keys, (element, offset))

@@ -132,9 +132,10 @@ class StoreVerification:
     pending_journals: List[str] = field(default_factory=list)
     segments: List[SegmentVerification] = field(default_factory=list)
     orphan_files: List[str] = field(default_factory=list)
-    #: Unreferenced files a pending intent names (filename -> journal
-    #: label); ``recover()`` rolls them forward or sweeps them.
-    pending_files: Dict[str, str] = field(default_factory=dict)
+    #: Unreferenced files a pending intent names: filename -> (journal
+    #: label, whether the commit adds the file).  ``recover()``
+    #: publishes an added file if it verifies and sweeps the rest.
+    pending_files: Dict[str, Tuple[str, bool]] = field(default_factory=dict)
     sequence_gaps: List[Tuple[int, int]] = field(default_factory=list)
     degraded_shards: List[int] = field(default_factory=list)
     total_records: int = 0
@@ -159,8 +160,14 @@ class StoreVerification:
             for name in self.orphan_files
         ]
         found += [
-            (f"undeleted {label} source {name}; recover() will sweep it", True)
-            for name, label in sorted(self.pending_files.items())
+            (
+                f"unpublished {label} output {name}; recover() will publish "
+                "it if it verifies, else sweep it"
+                if added
+                else f"undeleted {label} source {name}; recover() will sweep it",
+                True,
+            )
+            for name, (label, added) in sorted(self.pending_files.items())
         ]
         found += [
             (f"sequence range [{start}, {stop}) unaccounted for", False)
@@ -245,14 +252,14 @@ def _verify_store_impl(root: Path) -> StoreVerification:
     # not data loss; a torn intent names nothing.  A missing manifest
     # entry is resolved only when the commit retires it.
     retired: Dict[str, str] = {}
-    explained: Dict[str, str] = {}
+    added: Dict[str, str] = {}
     for row in STORE_JOURNALS:
         journal = Journal(StorageIO(), root / row.filename)
         if journal.pending():
             verification.pending_journals.append(row.label)
             old, new = row.explains(journal.read() or {})
             retired.update(dict.fromkeys(old, row.label))
-            explained.update(dict.fromkeys(old + new, row.label))
+            added.update(dict.fromkeys(new, row.label))
     verification.pending_journals.sort()
 
     for record in manifest.segments:
@@ -312,13 +319,18 @@ def _verify_store_impl(root: Path) -> StoreVerification:
         verification.sequence_gaps.append((manifest.next_sequence, cursor))
 
     # Unreferenced segment files and temporaries: recoverable when a
-    # pending intent names them (a temporary by its final name).
+    # pending intent names them (a temporary by its final name, and
+    # swept whatever the commit does with that name).
     for relative in unreferenced_files(root, manifest.segments):
-        label = explained.get(relative.removesuffix(".tmp"))
+        if relative in added:
+            verification.pending_files[relative] = (added[relative], True)
+            continue
+        name = relative.removesuffix(".tmp")
+        label = retired.get(name, added.get(name))
         if label is None:
             verification.orphan_files.append(relative)
         else:
-            verification.pending_files[relative] = label
+            verification.pending_files[relative] = (label, False)
 
     shards = {entry.record.shard for entry in manifest.quarantined}
     shards.update(record.shard for record in manifest.segments if record.omitted)
@@ -339,7 +351,7 @@ class RepairReport:
     def clean(self) -> bool:
         """True when nothing needed fixing."""
         return (
-            self.recovery.action == "none"
+            not self.recovery.journal_actions()
             and not self.recovery.orphans_removed
             and not self.quarantined
         )
@@ -349,6 +361,8 @@ class RepairReport:
         return {
             "clean": self.clean,
             "recovery_action": self.recovery.action,
+            "compaction_action": self.recovery.compaction_action,
+            "quarantine_action": self.recovery.quarantine_action,
             "orphans_removed": list(self.recovery.orphans_removed),
             "quarantined": [
                 {"filename": filename, "reason": reason}
@@ -381,7 +395,7 @@ def repair_store(store: ShardedFingerprintStore) -> RepairReport:
 def _repair_store_impl(store: ShardedFingerprintStore) -> RepairReport:
     recovery = store.recover()
     # If this pass found nothing but opening the store had already
-    # resolved a crashed ingest, report that recovery instead of "none".
+    # resolved a crashed commit, report that recovery instead of "none".
     prior = store.take_recovery_report()
     report = RepairReport(recovery=prior if prior is not None else recovery)
     metrics = store.metrics

@@ -214,10 +214,11 @@ class QuarantinedSegment:
 class RecoveryReport:
     """What :meth:`ShardedFingerprintStore.recover` did.
 
-    ``action`` covers the ingest journal; ``compaction_action`` covers
-    the compaction journal — the two protocols are independent (a
-    background merge can crash while an ingest journal is also
-    pending) and each resolves on its own.
+    ``action`` covers the ingest journal, ``compaction_action`` the
+    compaction journal and ``quarantine_action`` the segment-quarantine
+    journal — the protocols are independent (a background merge can
+    crash while an ingest journal is also pending) and each resolves
+    on its own.
     """
 
     action: str = "none"  # none | committed | rolled_forward | rolled_back
@@ -228,6 +229,14 @@ class RecoveryReport:
     # compaction_rolled_back
     compaction_action: str = "none"
     compaction_journal_found: bool = False
+    # none | quarantine_committed | quarantine_rolled_forward |
+    # quarantine_rolled_back
+    quarantine_action: str = "none"
+
+    def journal_actions(self) -> List[str]:
+        """Every journal outcome other than ``none``, in resolve order."""
+        actions = (self.action, self.compaction_action, self.quarantine_action)
+        return [action for action in actions if action != "none"]
 
 
 @dataclass(frozen=True)
@@ -683,9 +692,11 @@ class ShardedFingerprintStore:
         manifest_path = self._root / _MANIFEST_NAME
         if manifest_path.exists():
             self._apply_manifest(load_manifest(self._root, self._io))
+        resolved = False
         for row in STORE_JOURNALS:
             journal = Journal(self._io, self._root / row.filename)
             if row.resolve(self, journal, report) is not None:
+                resolved = True
                 self._metrics.count("store.recoveries")
         # Sweep leftovers: a stale manifest temporary, any segment
         # file no manifest entry references, and segment temporaries a
@@ -697,11 +708,7 @@ class ShardedFingerprintStore:
         self._cache.clear()
         self._blooms.clear()
         self._needs_recovery = False
-        if (
-            report.journal_found
-            or report.compaction_journal_found
-            or report.orphans_removed
-        ):
+        if resolved or report.orphans_removed:
             # Stash non-trivial outcomes so a later repair pass can
             # report a recovery that ran implicitly at open time.
             self._last_recovery = report
@@ -791,7 +798,7 @@ class ShardedFingerprintStore:
         return journal.recover(verify, forward, back)
 
     def _recover_quarantine(
-        self, journal: Journal, _report: RecoveryReport
+        self, journal: Journal, report: RecoveryReport
     ) -> Optional[bool]:
         """Resolve a pending quarantine journal: forward once the salvage
         replacement (if any) is fully on disk, else drop the replacement."""
@@ -808,11 +815,14 @@ class ShardedFingerprintStore:
             )
 
         def forward(intent: Intent) -> None:
+            report.quarantine_action = "quarantine_committed"
             if not landed(intent):
                 self._apply_quarantine(intent)
                 self._write_manifest()
+                report.quarantine_action = "quarantine_rolled_forward"
 
         def back(intent: Optional[Intent]) -> None:
+            report.quarantine_action = "quarantine_rolled_back"
             if intent is not None and intent["replacement"] is not None:
                 replacement = SegmentRecord.from_json(intent["replacement"])
                 discard(self._io, [self._root / replacement.filename])

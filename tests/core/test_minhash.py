@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Dict, Hashable, List, Set, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bits import BitVector
 from repro.core import LSHIndex, MinHasher, MinHashParams
@@ -20,6 +24,21 @@ def perturb(page, rng, miss_rate=0.02, additions=4):
     kept = indices[rng.random(indices.size) >= miss_rate]
     extra = rng.integers(0, page.nbits, size=additions)
     return BitVector.from_indices(page.nbits, np.union1d(kept, extra))
+
+
+def keys_of(hasher, page):
+    return hasher.band_keys(hasher.signature(page))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_scalar(value: int) -> int:
+    """Python-int splitmix64 finalizer: the reference for the numpy mix."""
+    mixed = (value + 0x9E3779B97F4A7C15) & _MASK64
+    mixed = ((mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    mixed = ((mixed ^ (mixed >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return mixed ^ (mixed >> 31)
 
 
 class TestMinHasher:
@@ -43,19 +62,28 @@ class TestMinHasher:
         page = random_page(rng)
         assert np.array_equal(hasher.signature(page), hasher.signature(page.copy()))
 
-    def test_estimated_jaccard_tracks_true_jaccard(self, rng):
+    def test_signature_agreement_tracks_true_jaccard(self, rng):
         hasher = MinHasher(MinHashParams(bands=32, rows_per_band=4))
         page = random_page(rng)
         near = perturb(page, rng, miss_rate=0.05)
         far = random_page(rng)
         sig_page = hasher.signature(page)
-        assert hasher.estimated_jaccard(sig_page, hasher.signature(near)) > 0.7
-        assert hasher.estimated_jaccard(sig_page, hasher.signature(far)) < 0.2
+        assert np.mean(sig_page == hasher.signature(near)) > 0.7
+        assert np.mean(sig_page == hasher.signature(far)) < 0.2
 
-    def test_estimated_jaccard_shape_check(self):
-        hasher = MinHasher()
-        with pytest.raises(ValueError):
-            hasher.estimated_jaccard(np.zeros(4), np.zeros(8))
+    def test_signature_matches_scalar_splitmix(self):
+        """Each signature entry is the min over the set of a salted
+        splitmix64, computed here with Python ints (no wrap-around)."""
+        params = MinHashParams(bands=2, rows_per_band=3)
+        salts = np.random.default_rng(params.seed).integers(
+            0, np.iinfo(np.uint64).max, size=params.num_hashes, dtype=np.uint64
+        )
+        indices = np.array([0, 7, 4095, 32767])
+        expected = [
+            min(splitmix64_scalar((int(salt) + int(i)) & _MASK64) for i in indices)
+            for salt in salts
+        ]
+        assert MinHasher(params).signature_of_indices(indices).tolist() == expected
 
     def test_band_keys_count(self):
         params = MinHashParams(bands=5, rows_per_band=2)
@@ -64,39 +92,106 @@ class TestMinHasher:
         assert len(keys) == 5
         assert len({band for band, _ in keys}) == 5
 
+    def test_band_keys_are_signature_slices(self, rng):
+        params = MinHashParams(bands=4, rows_per_band=3)
+        hasher = MinHasher(params)
+        signature = hasher.signature(random_page(rng, nbits=512, weight=20))
+        assert hasher.band_keys(signature) == [
+            (band, signature[band * 3 : band * 3 + 3].tobytes())
+            for band in range(4)
+        ]
+
 
 class TestLSHIndex:
     def test_add_and_query_recall(self, rng):
         """Same-page observations (2 % noise) must be found."""
+        hasher = MinHasher()
         index = LSHIndex()
         pages = [random_page(rng) for _ in range(50)]
         for page_id, page in enumerate(pages):
-            index.add(page, page_id)
+            index.add(keys_of(hasher, page), page_id)
         hits = 0
         for page_id, page in enumerate(pages):
             observed = perturb(page, rng)
-            if page_id in index.query(observed):
+            if page_id in index.query(keys_of(hasher, observed)):
                 hits += 1
         assert hits >= 48  # >=96 % recall
 
     def test_unrelated_queries_rarely_collide(self, rng):
+        hasher = MinHasher()
         index = LSHIndex()
         for page_id in range(50):
-            index.add(random_page(rng), page_id)
+            index.add(keys_of(hasher, random_page(rng)), page_id)
         false_positives = sum(
-            len(index.query(random_page(rng))) for _ in range(20)
+            len(index.query(keys_of(hasher, random_page(rng)))) for _ in range(20)
         )
         assert false_positives <= 2
 
-    def test_empty_vectors_skipped(self):
+    def test_stored_page_collides_in_every_band(self, rng):
+        hasher = MinHasher()
         index = LSHIndex()
-        index.add(BitVector.zeros(64), "nothing")
-        assert len(index) == 0
-        assert index.query(BitVector.zeros(64)) == set()
+        keys = keys_of(hasher, random_page(rng))
+        index.add(keys, "page")
+        assert len(index) == 1
+        assert all(index.query([key]) == {"page"} for key in keys)
+        assert len(keys) == hasher.params.bands
 
-    def test_query_counts(self, rng):
-        index = LSHIndex()
-        page = random_page(rng)
-        index.add(page, "page")
-        counts = index.query_counts(page)
-        assert counts["page"] == index.hasher.params.bands
+
+def scan_query(
+    stored: List[Tuple[List[Tuple[int, bytes]], Hashable]],
+    keys: List[Tuple[int, bytes]],
+) -> Set[Hashable]:
+    """Linear-scan oracle: every value whose band keys share one with ``keys``."""
+    wanted = set(keys)
+    return {value for value_keys, value in stored if wanted & set(value_keys)}
+
+
+def counted_query(
+    stored: List[Tuple[List[Tuple[int, bytes]], Hashable]],
+    keys: List[Tuple[int, bytes]],
+) -> Set[Hashable]:
+    """The bucket walk ``LSHIndex.query`` replaced: a per-value band
+    count, filtered into a set in first-collision order."""
+    buckets: Dict[Tuple[int, bytes], List[Hashable]] = {}
+    for value_keys, value in stored:
+        for key in value_keys:
+            buckets.setdefault(key, []).append(value)
+    counts: Dict[Hashable, int] = {}
+    for key in keys:
+        for value in buckets.get(key, ()):
+            counts[value] = counts.get(value, 0) + 1
+    return {value for value, count in counts.items() if count >= 1}
+
+
+index_sets = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(index_sets, index_sets)
+def test_query_matches_linear_scan(stored_sets, query_sets):
+    """``query`` over band keys equals a scan of every stored signature.
+
+    A small index universe and short bands make collisions common.  The
+    returned set also iterates in the order of the per-value counting
+    walk it replaced, since the stitcher breaks vote ties by that order.
+    """
+    hasher = MinHasher(MinHashParams(bands=4, rows_per_band=2))
+    index = LSHIndex()
+    stored = []
+    for position, indices in enumerate(stored_sets):
+        keys = hasher.band_keys(
+            hasher.signature_of_indices(np.array(sorted(indices)))
+        )
+        value = (position % 7, position)
+        index.add(keys, value)
+        stored.append((keys, value))
+    assert len(index) == len(stored)
+    for indices in query_sets:
+        keys = hasher.band_keys(hasher.signature_of_indices(np.array(sorted(indices))))
+        found = index.query(keys)
+        assert found == scan_query(stored, keys)
+        assert list(found) == list(counted_query(stored, keys))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bits import BitVector
-from repro.core import OffsetUnionFind, Stitcher
+from repro.core import MinHasher, OffsetUnionFind, Stitcher
+from repro.system import ModeledApproximateMemory, PhysicalMemoryMap
 
 
 # ----------------------------------------------------------------------
@@ -247,3 +248,94 @@ class TestStitcher:
         stitcher.add_output(chip_a.observe(0, 4, rng) + blank)
         stitcher.add_output(chip_b.observe(0, 4, rng) + blank)
         assert stitcher.suspected_chip_count == 2
+
+    def test_each_signal_page_signed_once(self, rng, monkeypatch):
+        """One signature per page of weight >= ``min_page_weight`` feeds
+        both the LSH query and the insert; blank and light pages are
+        never signed."""
+        calls = []
+        original = MinHasher.signature_of_indices
+
+        def counted(hasher, indices):
+            calls.append(indices.size)
+            return original(hasher, indices)
+
+        monkeypatch.setattr(MinHasher, "signature_of_indices", counted)
+        chip = SyntheticChip(seed=13)
+        light = BitVector.from_indices(PAGE_BITS, [5, 77, 901])
+        stitcher = Stitcher()
+        for start in (0, 4, 30, 2):
+            output = chip.observe(start, 6, rng) + [BitVector.zeros(PAGE_BITS), light]
+            calls.clear()
+            stitcher.add_output(output)
+            assert len(calls) == 6
+            assert min(calls) >= 8
+        assert stitcher.suspected_chip_count == 2
+
+
+# ----------------------------------------------------------------------
+# Seeded regression: the suspected-chip curve of a modeled victim pair
+# ----------------------------------------------------------------------
+
+#: ``(output_id, assembly_id, merged_assemblies, aligned_pages)`` of each
+#: report, recorded from the stitcher before pages were signed once.
+RECORDED_REPORTS = [
+    (0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (3, 1, 1, 2), (4, 3, 0, 0),
+    (5, 4, 0, 0), (6, 5, 0, 0), (7, 6, 0, 0), (8, 7, 0, 0), (9, 8, 0, 0),
+    (10, 9, 0, 0), (11, 10, 0, 0), (12, 11, 0, 0), (13, 12, 0, 0),
+    (14, 13, 0, 0), (15, 13, 1, 4), (16, 14, 0, 0), (17, 15, 0, 0),
+    (18, 13, 2, 9), (19, 16, 0, 0), (20, 17, 0, 0), (21, 18, 0, 0),
+    (22, 19, 0, 0), (23, 7, 1, 6), (24, 13, 1, 8), (25, 20, 0, 0),
+    (26, 21, 0, 0), (27, 22, 0, 0), (28, 23, 0, 0), (29, 1, 1, 1),
+    (30, 24, 0, 0), (31, 1, 2, 15), (32, 13, 2, 10), (33, 13, 1, 6),
+    (34, 25, 0, 0), (35, 7, 1, 6), (36, 13, 1, 8), (37, 26, 0, 0),
+    (38, 13, 1, 8), (39, 13, 1, 8), (40, 13, 1, 8), (41, 13, 1, 8),
+    (42, 27, 0, 0), (43, 28, 0, 0), (44, 7, 1, 3), (45, 29, 0, 0),
+    (46, 13, 2, 9), (47, 30, 0, 0), (48, 13, 1, 8), (49, 13, 1, 7),
+    (50, 13, 1, 8), (51, 7, 1, 8), (52, 31, 0, 0), (53, 13, 2, 11),
+    (54, 13, 1, 8), (55, 32, 0, 0), (56, 13, 1, 8), (57, 33, 0, 0),
+    (58, 34, 0, 0), (59, 35, 0, 0),
+]
+
+#: Suspected chips after each of the 60 outputs.
+RECORDED_CURVE = [
+    1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 14, 15, 16, 15, 16,
+    17, 18, 19, 19, 19, 20, 21, 22, 23, 23, 24, 23, 22, 22, 23, 23, 23, 24,
+    24, 24, 24, 24, 25, 26, 26, 27, 26, 27, 27, 27, 27, 27, 28, 27, 27, 28,
+    28, 29, 30, 31,
+]
+
+
+def test_seeded_modeled_run_matches_recorded_reports():
+    """Two modeled machines, one with light pages near
+    ``min_page_weight``, publish 60 eight-page outputs into 48 pages;
+    every report and the curve must equal the recorded values."""
+    memory_map = PhysicalMemoryMap(total_pages=48)
+    machines = [
+        ModeledApproximateMemory(chip_seed=7, memory_map=memory_map, page_bits=4096),
+        ModeledApproximateMemory(
+            chip_seed=8,
+            memory_map=memory_map,
+            page_bits=4096,
+            error_rate=0.004,
+            spurious_bits=1.0,
+            charge_fraction=0.6,
+        ),
+    ]
+    rng = np.random.default_rng(2015)
+    stitcher = Stitcher()
+    reports, curve = [], []
+    for _ in range(60):
+        machine = machines[int(rng.integers(0, len(machines)))]
+        report = stitcher.add_output(machine.publish_output(8, rng).page_errors)
+        reports.append(
+            (
+                report.output_id,
+                report.assembly_id,
+                report.merged_assemblies,
+                report.aligned_pages,
+            )
+        )
+        curve.append(stitcher.suspected_chip_count)
+    assert reports == RECORDED_REPORTS
+    assert curve == RECORDED_CURVE

@@ -139,7 +139,7 @@ class User:
 
 def store_recover(root: Path):
     report = ShardedFingerprintStore(root / "store").recover()
-    return (report.action, report.compaction_action, tuple(report.orphans_removed))
+    return (tuple(report.journal_actions()), tuple(report.orphans_removed))
 
 
 def ingest_setup(root: Path, rng: np.random.Generator):
@@ -337,7 +337,7 @@ USERS = [
         ingest_setup,
         ingest_commit,
         recover=store_recover,
-        idle=("none", "none", ()),
+        idle=((), ()),
         check=store_check,
         sweeps_tmp=True,
         store="store",
@@ -347,7 +347,7 @@ USERS = [
         compaction_setup,
         compaction_commit,
         recover=store_recover,
-        idle=("none", "none", ()),
+        idle=((), ()),
         check=compaction_check,
         sweeps_tmp=True,
         store="store",
@@ -357,7 +357,7 @@ USERS = [
         quarantine_setup,
         quarantine_commit,
         recover=store_recover,
-        idle=("none", "none", ()),
+        idle=((), ()),
         check=quarantine_check,
         sweeps_tmp=True,
         store="store",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 import time
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.reliability import (
+    Compactor,
     FaultPlan,
     FaultyIO,
     StorageIO,
@@ -26,6 +28,8 @@ from repro.service import (
     StoreError,
 )
 from tests.reliability.conftest import make_batch
+from tests.reliability.test_compaction import build_store
+from tests.reliability.test_compaction_chaos import ONE_MERGE_POLICY, clean_run
 
 CORPUS_SEED = 2015
 CORPUS_SIZE = 500
@@ -265,6 +269,62 @@ class TestSalvage:
         assert (victim.filename, "segment file missing") in report.quarantined
         assert report.records_lost >= victim.count
         assert verify_store(root).ok
+
+
+class TestPendingFileWording:
+    """verify-store words an unreferenced file a pending journal names
+    by what ``recover()`` does with it."""
+
+    def test_retired_source_is_swept(self, tmp_path, rng):
+        """Compaction crashed after its manifest swap, at the first
+        source delete: every source is left behind for the sweep."""
+        root = tmp_path / "base"
+        build_store(root, rng, n_batches=4, n_shards=1)
+        clean = clean_run(root, tmp_path)
+        first_source_remove = next(
+            index + 1
+            for index, (name, path) in enumerate(clean["log"])
+            if name == "remove" and path.endswith(".pcfp")
+        )
+        work = tmp_path / "cleanup"
+        shutil.copytree(root, work)
+        plan = FaultPlan(fail_at=clean["open_ops"] + first_source_remove)
+        store = ShardedFingerprintStore(work, storage_io=FaultyIO(plan))
+        with pytest.raises(OSError):
+            Compactor(store, ONE_MERGE_POLICY).run_once()
+        sources = json.loads((work / "compaction-journal.json").read_text())["sources"]
+        verification = verify_store(work)
+        assert verification.recoverable
+        assert [line for line in verification.problems() if "source" in line] == [
+            f"undeleted compaction source {name}; recover() will sweep it"
+            for name in sorted(sources)
+        ]
+
+    def test_added_salvage_is_published(self, tmp_path, rng):
+        """Repair crashed at the manifest write inside
+        ``quarantine_segment``: the salvage replacement is on disk but
+        unpublished, and recovery publishes it."""
+        root = tmp_path / "store"
+        store = ShardedFingerprintStore(root, n_shards=2)
+        store.ingest(make_batch(40, rng))
+        victim = store.segments[0]
+        corrupt_record(root / victim.filename, 1)
+        plan = FaultPlan(fail_at=1, fail_count=10**6, match="manifest.json.tmp")
+        with pytest.raises(OSError):
+            repair_store(ShardedFingerprintStore(root, storage_io=FaultyIO(plan)))
+        salvaged = victim.filename.removesuffix(".pcfp") + "-salvaged.pcfp"
+        verification = verify_store(root)
+        assert verification.recoverable
+        assert verification.pending_files == {salvaged: ("quarantine", True)}
+        assert (
+            f"unpublished quarantine output {salvaged}; recover() will "
+            "publish it if it verifies, else sweep it"
+        ) in verification.problems()
+
+        report = repair_store(ShardedFingerprintStore(root))
+        assert not report.clean
+        assert report.to_json()["quarantine_action"] == "quarantine_rolled_forward"
+        assert salvaged in {record.filename for record in ShardedFingerprintStore(root).segments}
 
 
 class TestDegradedServing:

@@ -328,8 +328,12 @@ class TestVerifyRecoverableCLI:
         assert "recoverable" in out
         assert "repro repair" in out
         assert (root / "compaction-journal.json").exists()  # read-only
-        # Repair resolves the pending merge; verify is clean again.
+        # Repair resolves the pending merge and says so; verify is
+        # clean again.
         assert main(["repair", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "recovery: compaction_rolled_forward" in out
+        assert "clean, nothing to repair" not in out
         assert not (root / "compaction-journal.json").exists()
         assert main(["verify-store", "--store", str(root)]) == 0
 
@@ -355,4 +359,7 @@ class TestVerifyRecoverableCLI:
             in capsys.readouterr().out
         )
         assert main(["repair", "--store", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "recovery: quarantine_rolled_forward" in out
+        assert "clean, nothing to repair" not in out
         assert main(["verify-store", "--store", str(root)]) == 0
