@@ -89,7 +89,10 @@ class BitVector:
         ``[0, nbits)``.
         """
         vec = cls(nbits)
-        idx = np.fromiter(indices, dtype=np.int64)
+        if isinstance(indices, np.ndarray) and np.issubdtype(indices.dtype, np.integer):
+            idx = np.asarray(indices, dtype=np.int64)
+        else:
+            idx = np.fromiter(indices, dtype=np.int64)
         if idx.size == 0:
             return vec
         if idx.min() < 0 or idx.max() >= nbits:

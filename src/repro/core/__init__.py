@@ -36,7 +36,6 @@ from repro.core.identify import (
     DuplicateKeyError,
     FingerprintDatabase,
     Identification,
-    best_match,
     identify,
     identify_error_string,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "DuplicateKeyError",
     "FingerprintDatabase",
     "Identification",
-    "best_match",
     "identify",
     "identify_error_string",
     "error_estimate_quality",

@@ -25,15 +25,15 @@ figure-consistency argument down.
 Under that normalization and the footnote-2 swap rule, Algorithm 3
 reduces to ``(min(w_fp, w_q) - |fp & q|) / min(w_fp, w_q)``: the
 intersection count is the only bit work.  :class:`PackedFingerprints`
-exploits this to score a probe against every stored fingerprint in
-one vectorized AND + popcount pass; the scalar
+exploits this to score a probe, or a batch of probes, against every
+stored fingerprint in one vectorized AND + popcount pass; the scalar
 :func:`probable_cause_distance` stays the reference it is tested
 against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -150,6 +150,14 @@ def jaccard_distance(a: BitsLike, b: BitsLike) -> float:
 DEFAULT_THRESHOLD = 0.1
 
 
+#: Word budget of :meth:`PackedFingerprints.first_within`'s AND
+#: intermediate, ``probes x rows x words`` uint64s: 2**15 words
+#: (256 KiB) keeps a chunk cache-sized.  Small shards score a whole
+#: batch in one call, which is where the per-call overhead lies; a
+#: shard of more than 2**15 words is scored one probe per call.
+PROBE_BATCH_WORDS = 1 << 15
+
+
 def _row_words(bits: BitVector) -> np.ndarray:
     """The vector's packed uint64 words (read-only)."""
     n_words = (bits.nbits + 63) // 64
@@ -170,9 +178,11 @@ class PackedFingerprints:
     the lowest row wins among equally good matches.  :meth:`distances`
     scores one probe against every row in a single vectorized pass and
     equals :func:`probable_cause_distance` (default normalization) per
-    row, bit for bit.  Rows are appended into a capacity-doubling
-    buffer, so :meth:`add` is amortized O(1); :meth:`update` overwrites
-    a row in place and :meth:`remove` shifts the later rows up.
+    row, bit for bit; :meth:`first_within` scores a batch of probes the
+    same way and returns each probe's Algorithm 2 match.  Rows are
+    appended into a capacity-doubling buffer, so :meth:`add` is
+    amortized O(1); :meth:`update` overwrites a row in place and
+    :meth:`remove` shifts the later rows up.
     """
 
     def __init__(
@@ -238,32 +248,64 @@ class PackedFingerprints:
         for shifted in self._keys[row:]:
             self._rows[shifted] -= 1
 
-    def distances(self, probe: BitVector) -> np.ndarray:
-        """Algorithm 3 distance from ``probe`` to every row at once.
+    def _check_probe(self, probe: BitVector) -> None:
+        if probe.nbits != self._nbits:
+            raise ValueError(
+                f"probe covers {probe.nbits} bits, matrix holds {self._nbits}"
+            )
+
+    def _score(self, probe_words: np.ndarray, probe_weights: np.ndarray) -> np.ndarray:
+        """``(probes, rows)`` Algorithm 3 distances of packed probes.
 
         The smaller-weight side plays the fingerprint role, so each
         distance is ``(min_w - intersection) / min_w`` (0.0 when
         ``min_w`` is 0).
         """
-        if probe.nbits != self._nbits:
-            raise ValueError(
-                f"probe covers {probe.nbits} bits, matrix holds {self._nbits}"
-            )
         size = len(self._keys)
-        intersections = popcount_words(self._matrix[:size] & _row_words(probe))
-        min_weight = np.minimum(self._weights[:size], probe.popcount())
+        intersections = popcount_words(
+            probe_words[:, None, :] & self._matrix[None, :size]
+        )
+        min_weight = np.minimum(self._weights[None, :size], probe_weights[:, None])
         return np.divide(
             min_weight - intersections,
             min_weight,
-            out=np.zeros(size),
+            out=np.zeros(min_weight.shape),
             where=min_weight > 0,
         )
 
-    def within(self, probe: BitVector, threshold: float) -> List[Tuple[str, float]]:
-        """``(key, distance)`` of every row closer than ``threshold``, in
-        row order — Algorithm 2's match is the first entry."""
-        distances = self.distances(probe)
-        return [
-            (self._keys[row], float(distances[row]))
-            for row in np.flatnonzero(distances < threshold)
-        ]
+    def distances(self, probe: BitVector) -> np.ndarray:
+        """Algorithm 3 distance from ``probe`` to every row at once."""
+        self._check_probe(probe)
+        return self._score(
+            _row_words(probe)[None], np.array([probe.popcount()], dtype=np.int64)
+        )[0]
+
+    def first_within(
+        self, probes: Sequence[BitVector], threshold: float
+    ) -> List[Optional[Tuple[str, float]]]:
+        """Algorithm 2 for a batch: per probe, the ``(key, distance)`` of
+        the lowest row closer than ``threshold``, or None.
+
+        Probes are scored a chunk at a time, as many per kernel call as
+        keep the AND intermediate within :data:`PROBE_BATCH_WORDS`; a
+        matrix larger than the budget is scored one probe per call.
+        """
+        for probe in probes:
+            self._check_probe(probe)
+        matches: List[Optional[Tuple[str, float]]] = [None] * len(probes)
+        size = len(self._keys)
+        if not probes or not size:
+            return matches
+        words = np.stack([_row_words(probe) for probe in probes])
+        weights = popcount_words(words)
+        chunk = max(1, PROBE_BATCH_WORDS // max(1, size * words.shape[1]))
+        for start in range(0, len(probes), chunk):
+            distances = self._score(
+                words[start : start + chunk], weights[start : start + chunk]
+            )
+            under = distances < threshold
+            first = under.argmax(axis=1)
+            for offset in np.flatnonzero(under.any(axis=1)):
+                row = int(first[offset])
+                matches[start + offset] = (self._keys[row], float(distances[offset, row]))
+        return matches

@@ -164,20 +164,3 @@ def identify(
     """
     return identify_error_string(mark_errors(approx, exact), database, threshold)
 
-
-def best_match(
-    error_string: BitVector, database: FingerprintDatabase
-) -> Tuple[Optional[str], float]:
-    """Nearest fingerprint regardless of threshold.
-
-    Useful for analysis (distance histograms, margin studies) rather
-    than for the attack itself, which uses first-below-threshold.
-    Returns ``(None, inf)`` on an empty database.
-    """
-    best_key: Optional[str] = None
-    best_distance = float("inf")
-    for key, fingerprint in database.items():
-        distance = probable_cause_distance(error_string, fingerprint)
-        if distance < best_distance:
-            best_key, best_distance = key, distance
-    return best_key, best_distance

@@ -194,16 +194,14 @@ def scan_replica(
     threshold: float,
 ) -> List[Answer]:
     """Earliest in-replica match per query, tagged with its global
-    sequence (``sequences`` maps key → global enrollment sequence)."""
-    answers: List[Answer] = []
-    for error_string in error_strings:
-        identification = database.identify_error_string(error_string, threshold)
-        if identification.matched:
-            assert identification.key is not None
-            answers.append((sequences[identification.key], identification))
-        else:
-            answers.append(None)
-    return answers
+    sequence (``sequences`` maps key → global enrollment sequence); the
+    whole batch is scored in one :meth:`identify_error_strings` call."""
+    return [
+        (sequences[identification.key], identification)  # type: ignore[index]
+        if identification.matched
+        else None
+        for identification in database.identify_error_strings(error_strings, threshold)
+    ]
 
 
 class Failure(NamedTuple):

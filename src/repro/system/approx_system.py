@@ -246,8 +246,9 @@ class ModeledApproximateMemory:
         n_spurious = rng.poisson(self._spurious_bits)
         if n_spurious:
             spurious = rng.integers(0, self._page_bits, size=n_spurious)
-            observed = np.union1d(observed, spurious)
-        return BitVector.from_indices(self._page_bits, np.unique(observed))
+            # Setting a bit twice is a no-op: no union or sort needed.
+            observed = np.concatenate([observed, spurious])
+        return BitVector.from_indices(self._page_bits, observed)
 
     def publish_output(
         self, n_pages: int, rng: np.random.Generator

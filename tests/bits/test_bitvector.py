@@ -50,6 +50,20 @@ class TestConstruction:
         vec = BitVector.from_indices(10, [3, 3, 3])
         assert vec.popcount() == 1
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+    def test_from_indices_integer_arrays_match_lists(self, dtype):
+        """Integer arrays take a bulk conversion; the vector, and the
+        range check, are those of the same indices as a list."""
+        indices = [9, 0, 63, 64, 9, 99]
+        got = BitVector.from_indices(100, np.array(indices, dtype=dtype))
+        assert got == BitVector.from_indices(100, indices)
+        assert BitVector.from_indices(100, np.array([], dtype=dtype)).popcount() == 0
+        with pytest.raises(IndexError):
+            BitVector.from_indices(100, np.array([3, 100], dtype=dtype))
+        if np.issubdtype(dtype, np.signedinteger):
+            with pytest.raises(IndexError):
+                BitVector.from_indices(100, np.array([3, -1], dtype=dtype))
+
     def test_from_bool_array_roundtrip(self):
         bools = np.array([True, False, True, True, False] * 20)
         vec = BitVector.from_bool_array(bools)

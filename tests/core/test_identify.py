@@ -9,7 +9,6 @@ from repro.core import (
     DuplicateKeyError,
     Fingerprint,
     FingerprintDatabase,
-    best_match,
     identify,
     identify_error_string,
 )
@@ -110,13 +109,3 @@ class TestIdentify:
                     assert result.matched
                     assert result.key == chip.label
 
-
-class TestBestMatch:
-    def test_returns_nearest(self):
-        database = db_with(a=[1, 2, 3, 4], b=[1, 2, 50, 51])
-        key, distance = best_match(BitVector.from_indices(64, [1, 2, 3, 4]), database)
-        assert key == "a" and distance == 0.0
-
-    def test_empty_database(self):
-        key, distance = best_match(BitVector.from_indices(64, [1]), FingerprintDatabase())
-        assert key is None and distance == float("inf")

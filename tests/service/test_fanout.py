@@ -17,9 +17,11 @@ from typing import Dict, List, Sequence, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
 from repro.bits import BitVector
 from repro.core import Fingerprint
+from repro.core import distance as distance_module
 from repro.reliability import StorageIO
 from repro.reliability.breaker import BreakerBoard
 from repro.service import (
@@ -269,3 +271,43 @@ def test_batch_after_a_timed_out_scan_meets_its_own_deadline(tmp_path, rng):
     assert elapsed < deadline
     assert not second.degraded
     assert [r.identification.key for r in second.results] == [k for k, _ in corpus]
+
+
+@pytest.mark.parametrize("n_rows, nbits", [(9, 512), (48, 512), (513, 4096)])
+def test_scan_replica_makes_one_kernel_call_per_chunk(monkeypatch, n_rows, nbits):
+    """A replica's batch is scored in as few AND + popcount passes over
+    its rows as the word budget allows: one for a small shard, one per
+    non-empty query past the budget; the answers are the per-query ones."""
+    rng = np.random.default_rng(n_rows)
+    database = IndexedFingerprintDatabase()
+    sequences = {}
+    for index in range(n_rows):
+        key = f"dev-{index:03d}"
+        database.add(key, Fingerprint(bits=BitVector.random(nbits, rng, 0.02)))
+        sequences[key] = 1000 + index
+    queries = [database.get(f"dev-{index % n_rows:03d}").bits for index in range(60)]
+    queries += [BitVector.random(nbits, rng, 0.02) for _ in range(3)]
+    queries.append(BitVector.zeros(nbits))
+    expected = []
+    for query in queries:
+        identification = database.identify_error_string(query, THRESHOLD)
+        expected.append(
+            (sequences[identification.key], identification) if identification.matched else None
+        )
+
+    row_words = (n_rows, (nbits + 63) // 64)
+    kernel_calls = []
+    popcount_words = distance_module.popcount_words
+
+    def counting(words):
+        if words.shape[-2:] == row_words:
+            kernel_calls.append(words.shape)
+        return popcount_words(words)
+
+    monkeypatch.setattr(distance_module, "popcount_words", counting)
+    assert scan_replica(database, sequences, queries, THRESHOLD) == expected
+    if n_rows < 100:
+        assert len(kernel_calls) == 1
+    scored = len(queries) - 1
+    per_call = max(1, distance_module.PROBE_BATCH_WORDS // (row_words[0] * row_words[1]))
+    assert len(kernel_calls) == -(-scored // per_call)

@@ -162,6 +162,29 @@ class TestSemantics:
         assert metrics.counter("index.queries") == 1
 
 
+@pytest.mark.parametrize("n_devices", [0, 1, 200])
+@pytest.mark.parametrize("threshold", [0.1, 0.5])
+def test_batch_identify_equals_per_probe_identify(n_devices, threshold):
+    """One batch call answers each error string as its own call would,
+    and moves every ``index.*`` counter by the same total."""
+    rng = np.random.default_rng(n_devices)
+    corpus = make_corpus(n_devices, rng)
+    queries = [matching_query(fingerprint, rng) for _, fingerprint in corpus[:20]]
+    queries += [BitVector.random(NBITS, rng, DENSITY) for _ in range(10)]
+    queries += [BitVector.zeros(NBITS), queries[0]]
+    batched, single = IndexedFingerprintDatabase(), IndexedFingerprintDatabase()
+    for key, fingerprint in corpus:
+        batched.add(key, fingerprint)
+        single.add(key, fingerprint)
+    answers = batched.identify_error_strings(queries, threshold)
+    assert answers == [single.identify_error_string(query, threshold) for query in queries]
+    assert batched.metrics.counters_with_prefix("index.") == (
+        single.metrics.counters_with_prefix("index.")
+    )
+    assert batched.identify_error_strings([], threshold) == []
+    assert batched.metrics.counter("index.queries") == len(queries)
+
+
 PROPERTY_NBITS = 70  # one full word plus a partial one
 
 property_bits = st.lists(
