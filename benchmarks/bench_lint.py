@@ -1,8 +1,8 @@
 """Flow-analysis cost guard — whole-program lint must stay PR-cheap.
 
 ``repro lint --flow`` gates every PR in CI, so the whole-program pass
-(call-graph construction over every module, per-function CFG dataflow,
-lock-graph fixpoints) has to stay far below interactive pain: this
+(call-graph construction over every module, lock-graph and may-block
+fixpoints) has to stay far below interactive pain: this
 benchmark runs the *real* analysis over the repository's own ``src/``
 tree and asserts the minimum-of-trials wall time fits a fixed budget.
 The budget is deliberately loose against local timings (~6x) so it

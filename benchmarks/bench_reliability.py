@@ -4,8 +4,8 @@ The paper's storage silently decays bits; this benchmark measures how
 the hardened store behaves when its own storage misbehaves, along three
 axes:
 
-1. **Crash recovery latency** — enumerate every IO operation of a
-   journaled ingest, kill it there, and time the reopen-with-recovery;
+1. **Crash recovery latency** — enumerate every IO operation of an
+   ingest, kill it there, and time the reopen-with-recovery;
    also checks the all-or-nothing contract at every point.
 2. **Corruption detection** — flip seeded random bits in v2 segment
    files and measure the detected fraction (CRC frames make silent

@@ -1036,11 +1036,9 @@ def _repair(args: argparse.Namespace) -> int:
         return 0
     recovery = report.recovery
     for action in recovery.journal_actions():
-        # Only the ingest outcome carries a detail line.
-        detail = f" ({recovery.detail})" if action == recovery.action else ""
-        print(f"recovery: {action}{detail}")
+        print(f"recovery: {action}")
     for orphan in recovery.orphans_removed:
-        print(f"removed orphan segment: {orphan}")
+        print(f"removed unpublished segment: {orphan}")
     for filename, reason in report.quarantined:
         print(f"quarantined {filename}: {reason}")
     if report.records_salvaged or report.records_lost:

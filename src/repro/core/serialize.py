@@ -237,7 +237,7 @@ def dump_database(
         # Plain export helper: durability is the caller's business —
         # crash-safe paths (ingest, compaction, repair) serialize into
         # memory and commit through the StorageIO seam, which fsyncs.
-        with open(destination, "wb") as stream:  # repro-lint: disable=REP009 -- export serialization; durable callers commit via the fsyncing StorageIO seam
+        with open(destination, "wb") as stream:
             dump_database(database, stream, version=version)
         return
     destination.write(_MAGIC)

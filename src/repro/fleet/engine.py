@@ -651,7 +651,7 @@ class FleetSimulation:
             '{"id": "bad-{n}", "nbits": {nbits}}',
             "{not json at all",
         )
-        with open(path, "w", encoding="utf-8") as sink:  # repro-lint: disable=REP009 -- transient simulation input regenerated from the seed every run, not a durability artifact
+        with open(path, "w", encoding="utf-8") as sink:
             for device_id, probe in observations:
                 if rng.random() < self._scenario.malformed_fraction:
                     template = bad_shapes[malformed % len(bad_shapes)]

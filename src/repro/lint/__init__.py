@@ -7,12 +7,13 @@ and lock-discipline rules.  This package makes those conventions
 machine-checkable: a single-walk AST rule engine
 (:mod:`repro.lint.engine`), seven repo-specific rules
 (:mod:`repro.lint.rules`, ``REP001``-``REP007`` plus the ``REP000``
-parse-error channel), per-line suppressions, and a committed baseline
-(:mod:`repro.lint.baseline`) so legacy findings never block while new
-ones always do.  ``--flow`` adds the whole-program pass
-(:mod:`repro.lint.flow`): call-graph construction, lock-order cycle
-detection (``REP008``), interprocedural durability (``REP009``), and
-may-block closure checking (``REP010``), exportable as SARIF 2.1.0.
+parse-error channel; ``REP002`` confines every durable commit to
+:mod:`repro.reliability.durable`), per-line suppressions, and a
+committed baseline (:mod:`repro.lint.baseline`) so legacy findings
+never block while new ones always do.  ``--flow`` adds the
+whole-program pass (:mod:`repro.lint.flow`): call-graph construction,
+lock-order cycle detection (``REP008``) and may-block closure checking
+(``REP010``), exportable as SARIF 2.1.0.  ``REP009`` is retired.
 
 Run it as ``python -m repro.lint`` or ``python -m repro lint``.
 """

@@ -81,8 +81,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--flow",
         action="store_true",
-        help="also run the whole-program analyses (REP008-REP010): "
-        "call-graph, lock-order, interprocedural durability/blocking",
+        help="also run the whole-program analyses (REP008, REP010): "
+        "call-graph, lock-order, interprocedural blocking",
     )
     parser.add_argument(
         "--sarif",

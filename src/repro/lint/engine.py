@@ -306,7 +306,7 @@ def lint_paths(
 
     With ``flow=True`` a second, whole-program pass runs over every
     file read in pass one (:func:`repro.lint.flow.analyze_project`):
-    its ``REP008``-``REP010`` findings honour the same per-line
+    its ``REP008``/``REP010`` findings honour the same per-line
     suppression comments, join the ordinary fingerprint/baseline
     pipeline, and the resulting graphs are exposed on
     ``run.flow_result`` for ``--graph-dir``.
@@ -338,19 +338,6 @@ def lint_paths(
 
         result = analyze_project(sources)
         run.flow_result = result
-        if result.superseded_rep002:
-            # The whole-program pass has the final word on the publish
-            # sites it analyzed: an fsync hidden in a callee clears the
-            # REP002 false positive, and a genuine violation split
-            # across functions is re-reported as REP009 with its call
-            # chain — either way the intraprocedural finding goes.
-            run.findings = [
-                finding
-                for finding in run.findings
-                if finding.rule != "REP002"
-                or (finding.path, finding.line)
-                not in result.superseded_rep002
-            ]
         suppression_cache: Dict[str, Dict[int, Set[str]]] = {}
 
         def suppressions_for(path: str) -> Dict[int, Set[str]]:
@@ -365,8 +352,8 @@ def lint_paths(
                 continue
             # An interprocedural finding is also suppressed when any
             # frame of its trace is: silencing the *cause* site (the
-            # deliberate publish, the known-blocking helper) silences
-            # every report it would fan out into.
+            # known-blocking helper) silences every report it would
+            # fan out into.
             if any(
                 _is_suppressed(
                     finding, (line, line), suppressions_for(path)

@@ -2,17 +2,20 @@
 
 The intraprocedural rules (``REP001``-``REP007``) see one file at a
 time; this package builds the project-wide picture they cannot: a call
-graph with per-function CFGs (:mod:`~repro.lint.flow.callgraph`,
-:mod:`~repro.lint.flow.cfg`) and three analyses on top of it —
+graph (:mod:`~repro.lint.flow.callgraph`) and two analyses on top of
+it —
 
 * :mod:`~repro.lint.flow.locks` — lock-order cycles (``REP008``),
-* :mod:`~repro.lint.flow.durability` — write/fsync/publish protocol
-  violations split across functions (``REP009``),
 * :mod:`~repro.lint.flow.blocking` — may-block closure entered while
   holding a lock (``REP010``).
 
+Crash safety needs no whole-program pass: ``REP002`` confines every
+raw rename and directory fsync to :mod:`repro.reliability.durable`, so
+there is no hand-rolled commit to follow across calls.  ``REP009`` is
+retired; its id is not reused.
+
 :func:`analyze_project` is the engine's entry point: it takes the raw
-sources pass one already read, runs all three analyses, and returns
+sources pass one already read, runs both analyses, and returns
 findings paired with suppression spans plus the two graphs in DOT form
 for ``--graph-dir``.  Findings then flow through the ordinary
 suppression, fingerprint, and baseline machinery unchanged.
@@ -21,15 +24,14 @@ suppression, fingerprint, and baseline machinery unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.flow.blocking import BlockingAnalysis
 from repro.lint.flow.callgraph import ProjectIndex
-from repro.lint.flow.durability import DurabilityAnalysis
 from repro.lint.flow.locks import check_lock_order, lock_graph_dot
 
-FLOW_RULE_IDS = ("REP008", "REP009", "REP010")
+FLOW_RULE_IDS = ("REP008", "REP010")
 
 
 @dataclass
@@ -44,10 +46,6 @@ class FlowResult:
     callgraph_dot: str = ""
     lockgraph_dot: str = ""
     functions_analyzed: int = 0
-    #: ``(path, line)`` of REP002 findings the interprocedural pass
-    #: overrides: the publish was either proven durable (fsync hidden
-    #: in a callee) or re-reported as REP009 with its call chain.
-    superseded_rep002: FrozenSet[Tuple[str, int]] = frozenset()
 
 
 def analyze_project(sources: Dict[str, str]) -> FlowResult:
@@ -60,8 +58,6 @@ def analyze_project(sources: Dict[str, str]) -> FlowResult:
     index = ProjectIndex.build(sources)
     findings: List[Tuple[Finding, Tuple[int, int]]] = []
     findings.extend(check_lock_order(index))
-    durability = DurabilityAnalysis(index)
-    findings.extend(durability.run())
     findings.extend(BlockingAnalysis(index).check())
     findings.sort(
         key=lambda pair: (
@@ -76,7 +72,6 @@ def analyze_project(sources: Dict[str, str]) -> FlowResult:
         callgraph_dot=index.to_dot(),
         lockgraph_dot=lock_graph_dot(index),
         functions_analyzed=len(index.functions),
-        superseded_rep002=durability.superseded_rep002,
     )
 
 

@@ -5,7 +5,7 @@ depends on (see DESIGN.md §10 for the catalogue):
 
 ========  ==========================================================
 REP001    determinism — no unseeded / global RNG
-REP002    crash safety — fsync before rename, atomic durable writes
+REP002    crash safety — durable commits go through the durable seam
 REP003    lock discipline — shared ``self._*`` writes under the lock
 REP004    no blocking calls while holding a lock
 REP005    no ``==`` / ``!=`` on float literals (distance/threshold code)
@@ -23,10 +23,11 @@ class attributes, implement ``enter``, append to :data:`ALL_RULES`.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import PurePosixPath
 from typing import Dict, List, Optional, Set, Tuple, Type
 
-from repro.lint.engine import LintContext, Scope, attr_chain, terminal_name
+from repro.lint.engine import LintContext, Scope, attr_chain
 from repro.lint.findings import Finding
 
 
@@ -159,15 +160,17 @@ class UnseededRandomRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP002 — crash safety: fsync before rename, atomic durable writes
+# REP002 — crash safety: durable commits go through the durable seam
 # ----------------------------------------------------------------------
 
-#: Write-like attribute calls through the StorageIO seam (default
-#: ``sync=True`` makes them durable unless ``sync=False`` is passed).
-_SEAM_WRITES = {"write_bytes", "append_bytes"}
+#: The modules allowed raw renames and directory fsyncs: the
+#: durable-commit primitive and the fault-injection seam beneath it.
+_DURABLE_SEAM_MODULES = ("reliability/durable.py", "reliability/faults.py")
 
-#: Calls that make previously written bytes durable.
-_SYNC_NAMES = {"fsync", "fsync_dir"}
+#: A receiver named like a StorageIO (``io``, ``_io``, ``io_seam``,
+#: ``storage_io``), which keeps ``str.replace`` and
+#: ``dataclasses.replace`` out.
+_IO_RECEIVER = re.compile(r"(^|_)io($|_)")
 
 #: Filename fragments that mark a durable artifact whose readers
 #: assume the atomic temp-write-fsync-replace pattern.
@@ -205,74 +208,59 @@ def _open_mode(node: ast.Call) -> Optional[str]:
     return None
 
 
-def _keyword_is_false(node: ast.Call, name: str) -> bool:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            return (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is False
-            )
-    return False
+class DurableSeamRule(Rule):
+    """REP002: outside :mod:`repro.reliability.durable` and the fault
+    seam, no raw ``replace``/``rename`` on ``os`` or a StorageIO, no
+    ``fsync_dir``, and no durable artifact opened for direct write.
 
-
-class FsyncBeforeReplaceRule(Rule):
-    """REP002: within a function, bytes written must be fsynced before
-    an ``os.replace``/``os.rename`` publishes them, and durable
-    artifacts are never opened for direct overwrite."""
+    Every commit goes through ``publish``/``create``/``move``/
+    ``discard`` or a ``Journal``, whose write-fsync-rename ordering the
+    crash harness enumerates op by op, so a hand-rolled commit is a
+    finding however well it orders its syncs.
+    """
 
     rule_id = "REP002"
-    title = "rename without fsync / non-atomic durable write"
-    invariant = "crash safety: fsync-before-replace ordering (PR 2/3)"
+    title = "durable commit outside the durable seam"
+    invariant = "crash safety: commits go through repro.reliability.durable (§8)"
 
-    def __init__(self, context: LintContext) -> None:
-        super().__init__(context)
-        # Per-function stack: line of the latest un-fsynced write, or
-        # None when everything written so far is durable.
-        self._unsynced: List[Optional[int]] = []
+    @classmethod
+    def applies_to(cls, rel_path: str) -> bool:
+        return not rel_path.endswith(_DURABLE_SEAM_MODULES)
 
     def enter(self, node: ast.AST, scope: Scope) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._unsynced.append(None)
-            return
-        if not isinstance(node, ast.Call) or not self._unsynced:
+        if not isinstance(node, ast.Call):
             return
         chain = attr_chain(node.func)
         name = chain[-1]
-        if name == "open" and len(chain) == 1:
+        receiver = chain[-2] if len(chain) >= 2 else ""
+        if name in ("replace", "rename") and (
+            receiver == "os" or _IO_RECEIVER.search(receiver)
+        ):
+            self.report(
+                node,
+                f"raw {receiver}.{name}() outside the durable seam; commit "
+                "through repro.reliability.durable (publish, move)",
+            )
+        elif name == "fsync_dir":
+            self.report(
+                node,
+                "fsync_dir outside the durable seam; commit through "
+                "repro.reliability.durable (create, publish, discard)",
+            )
+        elif name == "open" and len(chain) == 1:
             mode = _open_mode(node)
-            if mode is not None and any(c in mode for c in "wax"):
-                fragments = _string_fragments(node.args[0]) if node.args else ""
-                if any(f in fragments for f in _DURABLE_FRAGMENTS) and not any(
-                    f in fragments for f in _TMP_FRAGMENTS
-                ):
-                    self.report(
-                        node,
-                        "durable artifact opened for in-place write; use "
-                        "the atomic pattern: write a temp file, fsync it, "
-                        "os.replace over the target",
-                    )
-                self._unsynced[-1] = node.lineno
-        elif name in _SEAM_WRITES:
-            if _keyword_is_false(node, "sync"):
-                self._unsynced[-1] = node.lineno
-            # sync=True (the default) leaves the durable state as-is:
-            # it syncs its own file, not earlier unsynced ones.
-        elif name in _SYNC_NAMES:
-            self._unsynced[-1] = None
-        elif name in ("replace", "rename"):
-            receiver = chain[-2] if len(chain) >= 2 else ""
-            seam_like = "io" in receiver.lower() or receiver in ("os", "inner")
-            if seam_like and self._unsynced[-1] is not None:
+            fragments = _string_fragments(node.args[0]) if node.args else ""
+            if (
+                mode is not None
+                and any(c in mode for c in "wax")
+                and any(f in fragments for f in _DURABLE_FRAGMENTS)
+                and not any(f in fragments for f in _TMP_FRAGMENTS)
+            ):
                 self.report(
                     node,
-                    "rename publishes bytes written on line "
-                    f"{self._unsynced[-1]} that were never fsynced; a "
-                    "power cut can publish a torn file — fsync first",
+                    "durable artifact opened for in-place write; commit it "
+                    "with repro.reliability.durable.publish",
                 )
-
-    def leave(self, node: ast.AST, scope: Scope) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._unsynced.pop()
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +555,7 @@ class BareCounterRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# REP008-REP010 — whole-program rules (repro.lint.flow)
+# REP008 and REP010 — whole-program rules (repro.lint.flow)
 # ----------------------------------------------------------------------
 #
 # These are *descriptors*, not AST visitors: the findings come from the
@@ -588,16 +576,6 @@ class LockOrderRule(Rule):
     invariant = "deadlock freedom: one global lock acquisition order"
 
 
-class InterproceduralDurabilityRule(Rule):
-    """REP009: bytes written without a sync must be fsynced before any
-    ``os.replace``/``rename`` publishes them on *every* path through
-    the call graph — helpers do not launder the ordering."""
-
-    rule_id = "REP009"
-    title = "publish of bytes never fsynced on some call path"
-    invariant = "crash safety across helpers (DESIGN.md §8/§13)"
-
-
 class BlockingClosureRule(Rule):
     """REP010: a function that transitively reaches ``time.sleep``,
     ``subprocess``, pipe ``recv``, or seam IO may block; calling one
@@ -612,7 +590,7 @@ class BlockingClosureRule(Rule):
 #: Registry, in rule-id order; the engine runs them in one walk.
 ALL_RULES: Tuple[Type[Rule], ...] = (
     UnseededRandomRule,
-    FsyncBeforeReplaceRule,
+    DurableSeamRule,
     LockDisciplineRule,
     BlockingUnderLockRule,
     FloatEqualityRule,
@@ -623,7 +601,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
 #: Whole-program rule descriptors, reported by ``repro lint --flow``.
 FLOW_RULES: Tuple[Type[Rule], ...] = (
     LockOrderRule,
-    InterproceduralDurabilityRule,
     BlockingClosureRule,
 )
 

@@ -3,14 +3,15 @@
 Two entry points, mirroring ``fsck``'s split personality:
 
 * :func:`verify_store` — **strictly read-only** inspection of a store
-  directory: manifest well-formedness, a pending ingest journal,
-  per-segment checksum scans (corruption localized to records), global
-  sequence coverage, missing and orphaned files.  It never constructs
-  a :class:`~repro.service.store.ShardedFingerprintStore`, because
-  opening one auto-recovers a crashed ingest and verification must not
-  mutate what it is judging.
-* :func:`repair_store` — the mutating counterpart: resolve the journal
-  (roll forward or back), salvage every readable record out of corrupt
+  directory: manifest well-formedness, pending journals, unpublished
+  outputs, per-segment checksum scans (corruption localized to
+  records), global sequence coverage, missing and orphaned files.  It
+  never constructs a :class:`~repro.service.store.ShardedFingerprintStore`,
+  because opening one auto-recovers a crashed commit and verification
+  must not mutate what it is judging.
+* :func:`repair_store` — the mutating counterpart: recover crashed
+  commits (journals rolled forward or back, unpublished outputs
+  swept), salvage every readable record out of corrupt
   segments into fresh checksummed replacements, and quarantine the
   damaged originals.  Salvage preserves global sequence numbers (the
   manifest records which original offsets were dropped, or the exact
@@ -20,11 +21,13 @@ Two entry points, mirroring ``fsck``'s split personality:
   on an uncorrupted store.
 
 Verification reads the store's own model: the manifest through
-:func:`~repro.service.store.load_manifest`, and the journals through
-:data:`~repro.service.store.STORE_JOURNALS`.  A pending journal makes
-the store not-ok, but the files its intent names — a missing or
-unreferenced segment, a stale ``.pcfp.tmp`` — are *recoverable*
-findings pointing at ``recover()`` rather than data loss.
+:func:`~repro.service.store.load_manifest`, the journals through
+:data:`~repro.service.store.STORE_JOURNALS`, and a crashed ingest's
+leftovers through :func:`~repro.service.store.unpublished_outputs`.
+A pending journal makes the store not-ok, but the files its intent
+names — a missing or unreferenced segment, a stale ``.pcfp.tmp`` —
+and the unpublished outputs are *recoverable* findings pointing at
+``recover()`` rather than data loss.
 :func:`prune_quarantine` adds retention:
 quarantined segment files older than a cutoff are deleted and their
 manifest entries folded into the ``reclaimed`` sequence ledger.
@@ -60,6 +63,7 @@ from repro.service.store import (
     StoreError,
     coalesce_runs,
     load_manifest,
+    unpublished_outputs,
     unreferenced_files,
 )
 
@@ -132,6 +136,9 @@ class StoreVerification:
     pending_journals: List[str] = field(default_factory=list)
     segments: List[SegmentVerification] = field(default_factory=list)
     orphan_files: List[str] = field(default_factory=list)
+    #: Files a commit wrote but never published (see
+    #: :func:`~repro.service.store.unpublished_outputs`).
+    unpublished_files: List[str] = field(default_factory=list)
     #: Unreferenced files a pending intent names: filename -> (journal
     #: label, whether the commit adds the file).  ``recover()``
     #: publishes an added file if it verifies and sweeps the rest.
@@ -158,6 +165,15 @@ class StoreVerification:
         found += [
             (f"orphan segment file not in manifest: {name}", False)
             for name in self.orphan_files
+        ]
+        found += [
+            (
+                f"unpublished segment file {name} (no manifest entry, "
+                "numbered at or above its shard's next segment id); "
+                "recover() will sweep it",
+                True,
+            )
+            for name in self.unpublished_files
         ]
         found += [
             (
@@ -202,6 +218,7 @@ class StoreVerification:
             "corrupt_records": self.corrupt_records,
             "degraded_shards": self.degraded_shards,
             "orphan_files": self.orphan_files,
+            "unpublished_files": self.unpublished_files,
             "pending_files": sorted(self.pending_files),
             "sequence_gaps": [list(gap) for gap in self.sequence_gaps],
             "segments": [
@@ -320,17 +337,21 @@ def _verify_store_impl(root: Path) -> StoreVerification:
 
     # Unreferenced segment files and temporaries: recoverable when a
     # pending intent names them (a temporary by its final name, and
-    # swept whatever the commit does with that name).
+    # swept whatever the commit does with that name) or when no commit
+    # ever published them.
+    unpublished = set(unpublished_outputs(root, manifest))
     for relative in unreferenced_files(root, manifest.segments):
         if relative in added:
             verification.pending_files[relative] = (added[relative], True)
             continue
         name = relative.removesuffix(".tmp")
         label = retired.get(name, added.get(name))
-        if label is None:
-            verification.orphan_files.append(relative)
-        else:
+        if label is not None:
             verification.pending_files[relative] = (label, False)
+        elif relative in unpublished:
+            verification.unpublished_files.append(relative)
+        else:
+            verification.orphan_files.append(relative)
 
     shards = {entry.record.shard for entry in manifest.quarantined}
     shards.update(record.shard for record in manifest.segments if record.omitted)
@@ -360,7 +381,6 @@ class RepairReport:
         """JSON-serializable summary."""
         return {
             "clean": self.clean,
-            "recovery_action": self.recovery.action,
             "compaction_action": self.recovery.compaction_action,
             "quarantine_action": self.recovery.quarantine_action,
             "orphans_removed": list(self.recovery.orphans_removed),
@@ -379,7 +399,7 @@ def _salvaged_filename(filename: str) -> str:
 
 
 def repair_store(store: ShardedFingerprintStore) -> RepairReport:
-    """Self-heal a store: resolve the journal, quarantine corruption.
+    """Self-heal a store: recover crashed commits, quarantine corruption.
 
     Idempotent, and a strict no-op on a healthy store: segments that
     verify clean are left byte-identical and the manifest is not

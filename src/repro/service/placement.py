@@ -19,7 +19,7 @@ make the scheme operable at fleet scale:
 
 Placement changes are durable state: :class:`PlacementStore` commits a
 new :class:`PlacementMap` through a
-:class:`~repro.reliability.durable.Journal`, like ingest and compaction
+:class:`~repro.reliability.durable.Journal`, like compaction
 (DESIGN.md §8, "Durable commits").
 """
 

@@ -26,13 +26,16 @@ across shards: per-shard answers carry the sequence of their match and
 the merge step takes the minimum — identical to a linear scan over one
 big database in ingest order.
 
-Ingest is **crash-safe**: it commits through a write-ahead
-:class:`~repro.reliability.durable.Journal` (DESIGN.md §8, "Durable
-commits"), and :meth:`ShardedFingerprintStore.recover` — run on open —
-resolves any crash point to exactly the pre- or post-ingest store,
-never touching previously committed segments.  Ingest, compaction and
-segment quarantine each have a journal; :data:`STORE_JOURNALS` lists
-them once for the store's recovery and for ``verify-store``, and
+Ingest is **crash-safe** without a journal (DESIGN.md §8, "Durable
+commits"): it creates its new segments, then publishes the manifest,
+and the manifest rename is the commit point.  A crash before it leaves
+*unpublished outputs* — segment files no manifest entry names, numbered
+at or above their shard's next segment id (:func:`unpublished_outputs`)
+— which :meth:`ShardedFingerprintStore.recover`, run on open, sweeps,
+never touching previously committed segments.  Compaction and segment
+quarantine commit through a write-ahead
+:class:`~repro.reliability.durable.Journal`; :data:`STORE_JOURNALS`
+lists them once for the store's recovery and for ``verify-store``, and
 :func:`load_manifest` is the one manifest parser both read through.
 All filesystem traffic goes through a
 :class:`repro.reliability.faults.StorageIO` seam so the chaos tests can
@@ -63,6 +66,7 @@ from __future__ import annotations
 import bisect
 import io
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -93,13 +97,13 @@ from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import ServiceMetrics
 
 _MANIFEST_NAME = "manifest.json"
-_JOURNAL_NAME = "ingest-journal.json"
 _COMPACTION_JOURNAL_NAME = "compaction-journal.json"
 _QUARANTINE_JOURNAL_NAME = "quarantine-journal.json"
 _QUARANTINE_DIR = "quarantine"
 _STORE_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 _SEGMENT_ID_PATTERN = re.compile(r"segment-(\d+)")
+_SEGMENT_FILE_PATTERN = re.compile(r"shard-(\d+)/segment-(\d+)")
 
 
 class StoreError(ValueError):
@@ -214,17 +218,14 @@ class QuarantinedSegment:
 class RecoveryReport:
     """What :meth:`ShardedFingerprintStore.recover` did.
 
-    ``action`` covers the ingest journal, ``compaction_action`` the
+    ``orphans_removed`` lists the unpublished outputs swept (a crashed
+    ingest's segments among them); ``compaction_action`` covers the
     compaction journal and ``quarantine_action`` the segment-quarantine
-    journal — the protocols are independent (a background merge can
-    crash while an ingest journal is also pending) and each resolves
-    on its own.
+    journal — the protocols are independent and each resolves on its
+    own.
     """
 
-    action: str = "none"  # none | committed | rolled_forward | rolled_back
-    journal_found: bool = False
     orphans_removed: List[str] = field(default_factory=list)
-    detail: str = ""
     # none | compaction_committed | compaction_rolled_forward |
     # compaction_rolled_back
     compaction_action: str = "none"
@@ -235,7 +236,7 @@ class RecoveryReport:
 
     def journal_actions(self) -> List[str]:
         """Every journal outcome other than ``none``, in resolve order."""
-        actions = (self.action, self.compaction_action, self.quarantine_action)
+        actions = (self.compaction_action, self.quarantine_action)
         return [action for action in actions if action != "none"]
 
 
@@ -324,13 +325,13 @@ class StoreLookup:
 
 
 class ShardedFingerprintStore:
-    """Durable fingerprint store: manifest + journal + shards + segments.
+    """Durable fingerprint store: manifest + shards + segments.
 
     Open an existing store (or create an empty one) by constructing
     with its directory path; ingest batches with :meth:`ingest`; get a
     queryable shard replica with :meth:`load_shard`.  A pending journal
-    of :data:`STORE_JOURNALS` found at open is resolved by
-    :meth:`recover` before the store serves anything.
+    of :data:`STORE_JOURNALS` or an unpublished output found at open is
+    resolved by :meth:`recover` before the store serves anything.
     """
 
     def __init__(
@@ -351,8 +352,11 @@ class ShardedFingerprintStore:
         self._needs_recovery = False
         self._last_recovery: Optional[RecoveryReport] = None
         if (self._root / _MANIFEST_NAME).exists():
-            self._apply_manifest(load_manifest(self._root, self._io))
-            if any((self._root / row.filename).exists() for row in STORE_JOURNALS):
+            manifest = load_manifest(self._root, self._io)
+            self._apply_manifest(manifest)
+            if any(
+                (self._root / row.filename).exists() for row in STORE_JOURNALS
+            ) or unpublished_outputs(self._root, manifest):
                 self.recover()
         else:
             if n_shards < 1:
@@ -376,6 +380,18 @@ class ShardedFingerprintStore:
         self._quarantined = manifest.quarantined
         self._tombstones = manifest.tombstones
         self._reclaimed = manifest.reclaimed
+
+    def _manifest(self) -> Manifest:
+        """The in-memory manifest state, as :func:`load_manifest` parses it."""
+        return Manifest(
+            n_shards=self._n_shards,
+            boundaries=self._boundaries,
+            segments=self._segments,
+            next_sequence=self._next_sequence,
+            quarantined=self._quarantined,
+            tombstones=self._tombstones,
+            reclaimed=self._reclaimed,
+        )
 
     def _manifest_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -532,23 +548,6 @@ class ShardedFingerprintStore:
                 "call recover() or reopen the store"
             )
 
-    def _next_segment_id(self, shard: int) -> int:
-        """Next unused segment number for a shard.
-
-        Derived from filenames across live *and* quarantined segments,
-        so a quarantine never frees a number for reuse (reuse would let
-        a new segment collide with a file sitting in quarantine's
-        history).
-        """
-        used = [-1]
-        for record in self._segments + [q.record for q in self._quarantined]:
-            if record.shard != shard:
-                continue
-            match = _SEGMENT_ID_PATTERN.search(record.filename)
-            if match:
-                used.append(int(match.group(1)))
-        return max(used) + 1
-
     def ingest(
         self,
         entries: Union[FingerprintDatabase, Iterable[Tuple[str, Fingerprint]]],
@@ -562,7 +561,7 @@ class ShardedFingerprintStore:
         boundaries from the batch's sorted keys.  Keys already present
         in the store (or repeated within the batch) are rejected.
 
-        The batch commits through a journal: a crash at any point
+        The batch commits on the manifest rename: a crash at any point
         commits all of it or none of it.
         """
         self._check_serviceable()
@@ -645,22 +644,10 @@ class ShardedFingerprintStore:
         new_boundaries: List[str],
         batch_size: int,
     ) -> None:
-        """The durable half of :meth:`ingest`: journal, segments (each
-        with its shard directory), manifest, retirement.  A failure
-        leaves the handle for :meth:`recover` to re-read from disk."""
-        journal = Journal(self._io, self._root / _JOURNAL_NAME)
-        journal.begin(
-            json_bytes(
-                {
-                    "version": 1,
-                    "next_sequence_before": self._next_sequence,
-                    "next_sequence_after": self._next_sequence + batch_size,
-                    "boundaries": new_boundaries,
-                    "planned": [record.to_json() for record, _data in planned],
-                },
-                indent=2,
-            )
-        )
+        """The durable half of :meth:`ingest`: segments (each with its
+        shard directory), then the manifest publish, whose rename is the
+        commit point.  A failure leaves the handle for :meth:`recover`
+        to re-read from disk and sweep the unpublished segments."""
         for record, data in planned:
             path = self._root / record.filename
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -669,7 +656,6 @@ class ShardedFingerprintStore:
         self._boundaries = new_boundaries
         self._next_sequence += batch_size
         self._write_manifest()
-        journal.retire()
 
     # ------------------------------------------------------------------
     # Recovery
@@ -682,11 +668,11 @@ class ShardedFingerprintStore:
         :data:`STORE_JOURNALS` in turn by the one rule of
         :class:`~repro.reliability.durable.Journal`: forward when the
         commit already reached the manifest or its new segments verify
-        on disk, back (new files deleted) otherwise.  Finally, segment
-        files referenced by neither the manifest nor quarantine —
-        orphans from a pre-journal crash or a torn rollback — are
-        swept, along with stale ``.tmp`` temporaries.  Committed
-        fingerprints are never touched.
+        on disk, back (new files deleted) otherwise.  Finally, the
+        :func:`unpublished_outputs` — a crashed ingest's segments, a
+        rolled-back merge's temporaries — are swept along with a stale
+        manifest temporary.  Committed fingerprints, and lower-numbered
+        strays no commit explains, are never touched.
         """
         report = RecoveryReport()
         manifest_path = self._root / _MANIFEST_NAME
@@ -698,13 +684,11 @@ class ShardedFingerprintStore:
             if row.resolve(self, journal, report) is not None:
                 resolved = True
                 self._metrics.count("store.recoveries")
-        # Sweep leftovers: a stale manifest temporary, any segment
-        # file no manifest entry references, and segment temporaries a
-        # crashed compaction left beside its output.
+        # Sweep leftovers: a stale manifest temporary and every segment
+        # file or temporary a commit wrote but never published.
         discard(self._io, [temporary(manifest_path)])
-        for relative in unreferenced_files(self._root, self._segments):
-            self._io.remove(self._root / relative)
-            report.orphans_removed.append(relative)
+        report.orphans_removed = unpublished_outputs(self._root, self._manifest())
+        discard(self._io, [self._root / name for name in report.orphans_removed])
         self._cache.clear()
         self._blooms.clear()
         self._needs_recovery = False
@@ -713,49 +697,6 @@ class ShardedFingerprintStore:
             # report a recovery that ran implicitly at open time.
             self._last_recovery = report
         return report
-
-    def _recover_ingest(
-        self, journal: Journal, report: RecoveryReport
-    ) -> Optional[bool]:
-        """Resolve a pending ingest journal into ``report``."""
-        report.journal_found = journal.pending()
-
-        def landed(intent: Intent) -> bool:
-            return self._next_sequence >= int(intent["next_sequence_after"])
-
-        def forward(intent: Intent) -> None:
-            if landed(intent):
-                report.action = "committed"
-                report.detail = "manifest swap had already completed"
-                return
-            planned = _planned(intent)
-            self._segments.extend(planned)
-            self._boundaries = [str(b) for b in intent["boundaries"]]
-            self._next_sequence = int(intent["next_sequence_after"])
-            self._write_manifest()
-            report.action = "rolled_forward"
-            report.detail = (
-                f"replayed {len(planned)} planned segment(s) into the manifest"
-            )
-            self._metrics.count("store.recovery_rolled_forward")
-
-        def back(intent: Optional[Intent]) -> None:
-            report.action = "rolled_back"
-            report.detail = "journal itself was torn; no segments were planned"
-            self._metrics.count("store.recovery_rolled_back")
-            if intent is not None:
-                planned = _planned(intent)
-                discard(self._io, [self._root / r.filename for r in planned])
-                report.detail = (
-                    f"dropped {len(planned)} incomplete planned segment(s)"
-                )
-
-        return journal.recover(
-            lambda intent: landed(intent)
-            or all(map(self._segment_verifies, _planned(intent))),
-            forward,
-            back,
-        )
 
     def _recover_compaction(
         self, journal: Journal, report: RecoveryReport
@@ -982,9 +923,8 @@ class ShardedFingerprintStore:
     ) -> None:
         """Durably replace ``sources`` with one merged ``output`` segment.
 
-        Journaled like ingest, with its own journal so the two can
-        crash independently: the output segment and then the manifest
-        are published, then the sources are discarded.  A crash at any
+        Journaled: the output segment and then the manifest are
+        published, then the sources are discarded.  A crash at any
         step is resolved by :meth:`recover` into exactly the pre- or
         post-merge store, never a hybrid.  ``output=None`` commits a
         merge that dropped every record (a manifest-only change).
@@ -1168,7 +1108,8 @@ class ShardedFingerprintStore:
     def next_segment_filename(self, shard: int) -> str:
         """Store-relative filename the next segment of ``shard`` gets."""
         self._check_shard(shard)
-        return f"shard-{shard:03d}/segment-{self._next_segment_id(shard):06d}.pcfp"
+        number = next_segment_id(self._manifest(), shard)
+        return f"shard-{shard:03d}/segment-{number:06d}.pcfp"
 
     def _segment_bloom(self, record: SegmentRecord) -> Optional[BloomFilter]:
         """Cached bloom filter of a segment (``None`` when it has none)."""
@@ -1310,12 +1251,6 @@ def _filenames(*records: Optional[Dict[str, object]]) -> List[str]:
 #: resolves them.
 STORE_JOURNALS = (
     StoreJournal(
-        _JOURNAL_NAME,
-        "ingest",
-        ShardedFingerprintStore._recover_ingest,
-        lambda intent: ([], _filenames(*intent.get("planned", []))),
-    ),
-    StoreJournal(
         _COMPACTION_JOURNAL_NAME,
         "compaction",
         ShardedFingerprintStore._recover_compaction,
@@ -1340,14 +1275,56 @@ def unreferenced_files(root: Path, segments: Iterable[SegmentRecord]) -> List[st
     """Segment files, then segment temporaries, under ``root`` that no
     manifest entry in ``segments`` names (store-relative, sorted)."""
     referenced = {record.filename for record in segments}
-    paths = sorted(root.glob("shard-*/*.pcfp")) + sorted(root.glob("shard-*/*.pcfp.tmp"))
-    names = [path.relative_to(root).as_posix() for path in paths]
+    # One scandir pass per directory: every store open runs this, and
+    # it is several times cheaper than a recursive glob.
+    names: List[str] = []
+    with os.scandir(root) as shards:
+        for shard in shards:
+            if shard.name.startswith("shard-") and shard.is_dir():
+                with os.scandir(shard.path) as entries:
+                    names += [
+                        f"{shard.name}/{entry.name}"
+                        for entry in entries
+                        if entry.name.endswith((".pcfp", ".pcfp.tmp"))
+                    ]
+    names.sort(key=lambda name: (name.endswith(".tmp"), name))
     return [name for name in names if name not in referenced]
 
 
-def _planned(intent: Intent) -> List[SegmentRecord]:
-    """The segments an ingest journal plans."""
-    return [SegmentRecord.from_json(record) for record in intent["planned"]]
+def next_segment_id(manifest: Manifest, shard: int) -> int:
+    """Next unused segment number for a shard.
+
+    Derived from filenames across live *and* quarantined segments,
+    so a quarantine never frees a number for reuse (reuse would let
+    a new segment collide with a file sitting in quarantine's
+    history).
+    """
+    used = [-1]
+    for record in manifest.segments + [q.record for q in manifest.quarantined]:
+        if record.shard != shard:
+            continue
+        match = _SEGMENT_ID_PATTERN.search(record.filename)
+        if match:
+            used.append(int(match.group(1)))
+    return max(used) + 1
+
+
+def unpublished_outputs(root: Path, manifest: Manifest) -> List[str]:
+    """Segment files, then temporaries, under ``root`` that a commit
+    wrote but never published (store-relative, sorted).
+
+    One is a file no manifest entry names whose number is at or above
+    its shard's next segment id: what an ingest or a merge writes
+    before its manifest publish.  :meth:`ShardedFingerprintStore.recover`
+    sweeps these, and ``verify-store`` reports them as recoverable; a
+    lower-numbered stray is an orphan no commit explains.
+    """
+    outputs: List[str] = []
+    for relative in unreferenced_files(root, manifest.segments):
+        match = _SEGMENT_FILE_PATTERN.match(relative)
+        if match and int(match[2]) >= next_segment_id(manifest, int(match[1])):
+            outputs.append(relative)
+    return outputs
 
 
 def _compaction_output(intent: Intent) -> Optional[SegmentRecord]:

@@ -1,8 +1,8 @@
-"""REP009 fixture: both split shapes of the broken protocol.
+"""REP002 fixture: both split shapes of a hand-rolled commit.
 
 ``commit`` hides the unsynced write in a helper; ``commit_via_helper``
-hides the publish.  Each function is REP002-clean in isolation — only
-the interprocedural dataflow connects the write to the rename.
+hides the publish.  REP002 reports each raw ``replace`` where it is
+called, whichever function holds the write.
 """
 
 from .writer import write_blob

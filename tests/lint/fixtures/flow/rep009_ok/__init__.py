@@ -1,1 +1,1 @@
-"""The split protocol done right: a sync always intervenes."""
+"""The split commit done right: the durable seam publishes."""

@@ -1,13 +1,13 @@
-"""REP009-clean twins: durable write, or fsync inside the helper."""
+"""REP002-clean twins: the seam's ``publish`` in a helper or inline."""
 
-from .writer import sync_then_publish, write_blob_durable
+from repro.reliability.durable import publish
 
-
-def commit(io, tmp, final, data):
-    write_blob_durable(io, tmp, data)
-    io.replace(tmp, final)
+from .writer import publish_blob
 
 
-def commit_via_helper(io, tmp, final, data):
-    io.write_bytes(tmp, data, sync=False)
-    sync_then_publish(io, tmp, final)
+def commit(io, final, data):
+    publish_blob(io, final, data)
+
+
+def commit_inline(io, final, data):
+    publish(io, final, data)

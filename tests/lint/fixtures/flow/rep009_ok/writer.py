@@ -1,10 +1,7 @@
-"""Helpers whose writes are durable (or synced) before return."""
+"""Helper that commits through the durable seam."""
+
+from repro.reliability.durable import publish
 
 
-def write_blob_durable(io, path, data):
-    io.write_bytes(path, data, sync=True)
-
-
-def sync_then_publish(io, tmp, final):
-    io.fsync(tmp)
-    io.replace(tmp, final)
+def publish_blob(io, final, data):
+    publish(io, final, data)

@@ -1,1 +1,1 @@
-"""The bad shape with the cause-site publish suppressed."""
+"""The bad shape with each raw publish suppressed."""

@@ -1,11 +1,11 @@
-"""REP009 fixture: suppressing a trace frame silences the finding."""
+"""REP002 fixture: a suppression at the raw call silences the finding."""
 
 from .writer import write_blob
 
 
 def commit(io, tmp, final, data):
     write_blob(io, tmp, data)
-    io.replace(tmp, final)  # repro-lint: disable=REP009 -- scratch file, torn publish acceptable
+    io.replace(tmp, final)  # repro-lint: disable=REP002 -- scratch file, torn publish acceptable
 
 
 def commit_via_helper(io, tmp, final, data):
@@ -14,5 +14,5 @@ def commit_via_helper(io, tmp, final, data):
 
 
 def publish_blob(io, tmp, final):
-    # The cause site: suppressing here silences the caller's finding.
-    io.replace(tmp, final)  # repro-lint: disable=REP009 -- scratch file, torn publish acceptable
+    # The raw call: suppressing here silences the only finding.
+    io.replace(tmp, final)  # repro-lint: disable=REP002 -- scratch file, torn publish acceptable

@@ -1,4 +1,4 @@
-"""Fixture: REP002 violations — unsynced rename, in-place manifest."""
+"""Fixture: REP002 violations — hand-rolled rename, in-place manifest."""
 
 import os
 

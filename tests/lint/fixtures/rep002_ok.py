@@ -1,16 +1,19 @@
-"""Fixture: REP002-clean — fsync-before-replace and seam defaults."""
+"""Fixture: REP002-clean — commits go through the durable seam."""
 
-import os
-
-
-def publish(io, path, payload):
-    """The atomic pattern: temp write, fsync, then replace."""
-    io.write_bytes(path + ".tmp", payload, sync=False)
-    io.fsync(path + ".tmp")
-    os.replace(path + ".tmp", path)
+from repro.reliability.durable import publish
 
 
-def publish_with_seam_default(io, path, payload):
-    """The seam's default sync=True leaves nothing unsynced."""
-    io.write_bytes(path + ".tmp", payload)
-    os.replace(path + ".tmp", path)
+def commit(io, path, payload):
+    """``publish`` writes the temporary, fsyncs it and renames it."""
+    publish(io, path, payload)
+
+
+def look_alikes(text, record, dataclasses):
+    """``str.replace`` and ``dataclasses.replace`` are not renames."""
+    return text.replace("a", "b"), dataclasses.replace(record, count=0)
+
+
+def export(rows):
+    """A plain export is no durable artifact."""
+    with open("export.csv", "w", encoding="utf-8") as handle:
+        handle.write(rows)

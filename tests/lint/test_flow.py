@@ -1,16 +1,17 @@
-"""Whole-program rule tests: REP008/REP009/REP010 on fixture trees.
+"""Whole-program rule tests: REP008/REP010 on fixture trees, and the
+split-commit packages REP002 now judges without the flow pass.
 
-Every *bad* package is deliberately clean under the intraprocedural
-rules — that blindness is exactly what the flow pass exists to fix —
-so each test asserts both halves: no findings without ``flow=True``,
-the expected finding (with its interprocedural trace) with it.
+Every REP008/REP010 *bad* package is deliberately clean under the
+intraprocedural rules — that blindness is exactly what the flow pass
+exists to fix — so each test asserts both halves: no findings without
+``flow=True``, the expected finding (with its interprocedural trace)
+with it.
 """
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 from repro.lint import ALL_RULES, Finding, lint_paths
 
@@ -48,42 +49,37 @@ class TestLockOrder:
 
 
 class TestInterproceduralDurability:
-    def test_old_rules_pass_the_bad_package(self):
-        assert _lint("rep009_bad", flow=False) == []
+    """A commit split across helpers needs no call graph: REP002
+    reports every raw ``replace`` where it is called, flow or not."""
+
+    def _rep002(self, package: str, flow: bool) -> List[Finding]:
+        findings = _lint(package, flow=flow)
+        assert {f.rule for f in findings} <= {"REP002"}
+        return findings
 
     def test_write_hidden_in_helper_is_reported(self):
-        findings = [
-            f for f in _lint("rep009_bad", flow=True) if f.rule == "REP009"
-        ]
-        assert len(findings) == 2
-        by_line = {f.line: f for f in findings}
-        # commit(): the helper's write taints the caller's publish.
-        helper_write = by_line[13]
-        assert "writer.py" in helper_write.message
-        paths = [path for path, _line, _note in helper_write.trace]
-        assert any(path.endswith("writer.py") for path in paths)
-        assert any("commit calls write_blob" in note
-                   for _p, _l, note in helper_write.trace)
+        for flow in (False, True):
+            findings = self._rep002("rep009_bad", flow)
+            assert [(f.path, f.line) for f in findings] == [
+                ("flow/rep009_bad/publisher.py", 13),
+                ("flow/rep009_bad/publisher.py", 22),
+            ]
+        # commit(): its write lives in write_blob, its publish is raw.
+        assert "io.replace()" in findings[0].message
+        assert findings[0].trace == ()
 
     def test_publish_hidden_in_helper_is_reported(self):
-        findings = [
-            f for f in _lint("rep009_bad", flow=True) if f.rule == "REP009"
-        ]
-        by_line = {f.line: f for f in findings}
-        # commit_via_helper(): the publish lives inside publish_blob.
-        helper_publish = by_line[18]
-        assert "publish_blob" in helper_publish.message
-        assert any(
-            "publishes via replace/rename without syncing" in note
-            for _p, _l, note in helper_publish.trace
-        )
+        findings = self._rep002("rep009_bad", flow=True)
+        # commit_via_helper() is reported where publish_blob renames.
+        helper_publish = {f.line: f for f in findings}[22]
+        assert "durable seam" in helper_publish.message
 
     def test_durable_write_and_fsync_in_helper_are_clean(self):
+        assert _lint("rep009_ok", flow=False) == []
         assert _lint("rep009_ok", flow=True) == []
 
-    def test_suppression_at_a_trace_frame_silences_the_finding(self):
-        # The second finding's suppression sits on the *callee's*
-        # publish line — a frame of the trace, not the anchor.
+    def test_suppression_at_the_raw_call_silences_it(self):
+        assert _lint("rep009_suppressed", flow=False) == []
         assert _lint("rep009_suppressed", flow=True) == []
 
 
@@ -110,93 +106,16 @@ class TestBlockingClosure:
         assert _lint("rep010_suppressed", flow=True) == []
 
 
-class TestRep002Handoff:
-    """With ``flow=True`` the whole-program pass has the final word on
-    the publish sites it analyzed: callee-hidden fsyncs clear REP002's
-    false positive, call-crossing dirt upgrades it to REP009 with a
-    trace, and purely-local violations stay REP002."""
-
-    def _lint_tree(self, tmp_path: Path, files: Dict[str, str], flow: bool):
-        for name, text in files.items():
-            (tmp_path / name).write_text(textwrap.dedent(text))
-        run, _ = lint_paths([tmp_path], ALL_RULES, root=tmp_path, flow=flow)
-        return run.findings
-
-    _SYNC_IN_HELPER = {
-        "helper.py": """\
-            def sync_all(io, tmp):
-                io.fsync(tmp)
-            """,
-        "caller.py": """\
-            from helper import sync_all
-
-            def commit(io, tmp, final, data):
-                io.write_bytes(tmp, data, sync=False)
-                sync_all(io, tmp)
-                io.replace(tmp, final)
-            """,
-    }
-
-    _MAYBE_SYNC_IN_HELPER = {
-        "helper.py": """\
-            def sync_maybe(io, tmp, flag):
-                if flag:
-                    io.fsync(tmp)
-            """,
-        "caller.py": """\
-            from helper import sync_maybe
-
-            def commit(io, tmp, final, data, flag):
-                io.write_bytes(tmp, data, sync=False)
-                sync_maybe(io, tmp, flag)
-                io.replace(tmp, final)
-            """,
-    }
-
-    _PURE_LOCAL = {
-        "caller.py": """\
-            def commit(io, tmp, final, data):
-                io.write_bytes(tmp, data, sync=False)
-                io.replace(tmp, final)
-            """,
-    }
-
-    def test_callee_fsync_clears_the_rep002_false_positive(self, tmp_path):
-        before = self._lint_tree(tmp_path, self._SYNC_IN_HELPER, flow=False)
-        assert [f.rule for f in before] == ["REP002"]
-        after = self._lint_tree(tmp_path, self._SYNC_IN_HELPER, flow=True)
-        assert after == []
-
-    def test_call_crossing_dirt_upgrades_rep002_to_rep009(self, tmp_path):
-        before = self._lint_tree(
-            tmp_path, self._MAYBE_SYNC_IN_HELPER, flow=False
-        )
-        assert [f.rule for f in before] == ["REP002"]
-        after = self._lint_tree(tmp_path, self._MAYBE_SYNC_IN_HELPER, flow=True)
-        assert [f.rule for f in after] == ["REP009"]
-        finding = after[0]
-        assert finding.path.endswith("caller.py")
-        assert any(
-            "can return without syncing" in note
-            for _path, _line, note in finding.trace
-        )
-
-    def test_pure_local_violation_stays_rep002(self, tmp_path):
-        before = self._lint_tree(tmp_path, self._PURE_LOCAL, flow=False)
-        assert [f.rule for f in before] == ["REP002"]
-        after = self._lint_tree(tmp_path, self._PURE_LOCAL, flow=True)
-        assert [f.rule for f in after] == ["REP002"]
-
-
 class TestFlowRunPlumbing:
     def test_flow_rules_join_the_run_rule_list(self):
         run, _ = lint_paths(
             [FLOW / "rep008_ok"], ALL_RULES, root=FIXTURES, flow=True
         )
-        assert {"REP008", "REP009", "REP010"} <= set(run.rules)
+        assert {"REP008", "REP010"} <= set(run.rules)
+        assert "REP009" not in run.rules
 
     def test_flow_findings_are_fingerprinted(self):
-        findings = _lint("rep009_bad", flow=True)
+        findings = _lint("rep010_bad", flow=True)
         assert findings
         for finding in findings:
             assert finding.fingerprint
@@ -217,4 +136,4 @@ class TestFlowRunPlumbing:
             [FLOW / "rep008_bad"], ALL_RULES, root=FIXTURES, flow=False
         )
         assert run.flow_result is None
-        assert not {"REP008", "REP009", "REP010"} & set(run.rules)
+        assert not {"REP008", "REP010"} & set(run.rules)

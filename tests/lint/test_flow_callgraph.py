@@ -90,8 +90,9 @@ class TestResolution:
         assert index.edges.get("two:probe", []) == []
 
 
-#: Two modules that produce one REP009 and one REP010 between them —
-#: enough findings for the stability properties to bite.
+#: Two modules that produce two REP010 findings between them — one
+#: through seam IO, one through a sleep — enough findings for the
+#: stability properties to bite.
 BASE_SOURCES = _dedent(
     {
         "helper.py": """\
@@ -115,9 +116,9 @@ BASE_SOURCES = _dedent(
                 def __init__(self):
                     self._lock = threading.Lock()
 
-                def commit(self, io, tmp, final, data):
-                    write_blob(io, tmp, data)
-                    io.replace(tmp, final)
+                def commit(self, io, tmp, data):
+                    with self._lock:
+                        write_blob(io, tmp, data)
 
                 def poke(self):
                     with self._lock:
@@ -171,7 +172,7 @@ def _reformat(text: str, inserts: List[Tuple[int, str]]) -> str:
 class TestDeterminismAndStability:
     def test_base_sources_produce_the_expected_findings(self):
         _dot, _lock, prints = _graph_and_fingerprints(BASE_SOURCES)
-        assert [rule for rule, _fp, _cfp in prints] == ["REP009", "REP010"]
+        assert [rule for rule, _fp, _cfp in prints] == ["REP010", "REP010"]
 
     def test_two_builds_are_byte_identical(self):
         first = _graph_and_fingerprints(BASE_SOURCES)

@@ -28,18 +28,19 @@ def _flow_run(package: str):
 
 class TestExport:
     def test_document_shape_and_version(self):
-        doc = to_sarif(_flow_run("rep009_bad"))
+        doc = to_sarif(_flow_run("rep010_bad"))
         assert doc["version"] == SARIF_VERSION
         assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
         (sarif_run,) = doc["runs"]
         assert sarif_run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = [r["id"] for r in sarif_run["tool"]["driver"]["rules"]]
-        assert "REP009" in rule_ids
+        assert {"REP002", "REP008", "REP010"} <= set(rule_ids)
+        assert "REP009" not in rule_ids
 
     def test_interprocedural_trace_becomes_a_code_flow(self):
-        doc = to_sarif(_flow_run("rep009_bad"))
+        doc = to_sarif(_flow_run("rep010_bad"))
         results = doc["runs"][0]["results"]
-        assert results, "expected REP009 findings in the bad fixture"
+        assert results, "expected REP010 findings in the bad fixture"
         flows = [r for r in results if r.get("codeFlows")]
         assert flows, "trace-bearing findings must carry codeFlows"
         thread = flows[0]["codeFlows"][0]["threadFlows"][0]
@@ -94,7 +95,7 @@ class TestCliSmoke:
     ):
         good = tmp_path / "good.sarif"
         good.write_text(
-            json.dumps(to_sarif(_flow_run("rep009_bad"))), encoding="utf-8"
+            json.dumps(to_sarif(_flow_run("rep010_bad"))), encoding="utf-8"
         )
         bad = tmp_path / "bad.sarif"
         bad.write_text(json.dumps({"version": "1.0"}), encoding="utf-8")

@@ -1,7 +1,7 @@
-"""Input for ``test_durable.raw_storage_calls``: what the walk must see.
+"""Input for lint rule REP002 in ``test_durable``: what it must see.
 
-Never imported; the test parses it.  ``archive`` and ``sync`` hold the
-raw calls the detector must report; ``harmless`` holds look-alikes it
+Never imported; the test lints it.  ``archive`` and ``sync`` hold the
+raw calls the rule must report; ``harmless`` holds look-alikes it
 must not.
 """
 

@@ -1,7 +1,8 @@
 """One crash harness for every durable commit in the system.
 
-Each *user* of :mod:`repro.reliability.durable` — the store's ingest,
-compaction and segment-quarantine journals, the placement journal, the quarantine retry
+Each *user* of :mod:`repro.reliability.durable` — the store's ingest
+(committed by its manifest publish), compaction and segment-quarantine
+journals, the placement journal, the quarantine retry
 journal, the stream's checkpoint/fatal/report publishes, the campaign
 chip checkpoint and the cluster sequence map — is one input.  For every
 user, every ``FaultyIO`` operation of its commit and every fault mode
@@ -13,7 +14,7 @@ user, every ``FaultyIO`` operation of its commit and every fault mode
 * a rolled-back state really is the pre-state: re-running the commit
   from it lands on the exact post-state (no duplicated effects);
 * the user's own invariant holds (verify-store OK, query oracle, ...);
-* for the store's own journals, ``verify_store`` judges the crashed
+* for the store's three users, ``verify_store`` judges the crashed
   state before recovery: every finding the pre-state lacks is one
   ``recover()`` resolves, a store journal on disk is never ``ok``, and
   after recovery the verdict is the pre- or the post-state's.
@@ -133,7 +134,7 @@ class User:
 
 
 # ----------------------------------------------------------------------
-# Store: ingest and compaction journals
+# Store: ingest (manifest rename) and compaction journal
 # ----------------------------------------------------------------------
 
 

@@ -3,96 +3,45 @@
 Crash behaviour of every *user* of the primitive is enumerated by the
 shared harness in ``test_crash_harness.py``; this file pins the
 primitive's own operation sequences and recovery rule, and the
-invariant that no other module replaces or directory-fsyncs through a
-``StorageIO`` by hand.
+invariant — lint rule REP002 — that no other module renames or
+directory-fsyncs by hand.
 """
 
 from __future__ import annotations
 
-import ast
-import re
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.lint import RULES_BY_ID, lint_paths, lint_source
 from repro.reliability import FaultPlan, FaultyIO, InjectedFault
 from repro.reliability.durable import Journal, create, discard, move, publish
 
 SRC = Path(repro.__file__).parent
 
-#: The only modules allowed to call ``replace``/``fsync_dir`` on a
-#: ``StorageIO``: the primitive itself and the fault-injection seam.
-PRIMITIVE_MODULES = {"reliability/durable.py", "reliability/faults.py"}
-
-#: Raw calls outside them, by (module, enclosing function, method).
-#: Even the store's evidence move goes through ``durable.move``.
-ALLOWED_RAW_CALLS: set = set()
-
-#: A module with known raw calls and look-alikes, for the walk itself.
+#: A module with known raw calls and look-alikes, for the rule itself.
 FIXTURE = Path(__file__).parent / "fixtures" / "raw_storage_calls.py"
 
-_IO_RECEIVER = re.compile(r"(^|_)io($|_)")
-
-
-def raw_storage_calls(path: Path):
-    """``(function, method, line)`` of every ``<io>.replace(...)`` and
-    ``<anything>.fsync_dir(...)`` call in one module.
-
-    A ``replace`` counts when its receiver is named like a StorageIO
-    (``io``, ``_io``, ``io_seam``, ``storage_io``), which keeps
-    ``str.replace`` and ``dataclasses.replace`` out.
-    """
-    calls = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call) and isinstance(
-                child.func, ast.Attribute
-            ):
-                method = child.func.attr
-                receiver = child.func.value
-                name = (
-                    receiver.attr
-                    if isinstance(receiver, ast.Attribute)
-                    else getattr(receiver, "id", "")
-                )
-                if method == "fsync_dir" or (
-                    method == "replace" and _IO_RECEIVER.search(name)
-                ):
-                    calls.append((function, method, child.lineno))
-            visit(child, function)
-
-    visit(ast.parse(path.read_text()), "<module>")
-    return calls
+SEAM_RULE = RULES_BY_ID["REP002"]
 
 
 def test_no_raw_replace_or_dir_fsync_outside_the_primitive():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        if module in PRIMITIVE_MODULES:
-            continue
-        for function, method, line in raw_storage_calls(path):
-            if (module, function, method) not in ALLOWED_RAW_CALLS:
-                offenders.append(f"{module}:{line} {function}() .{method}(")
-    assert not offenders, (
+    run, _ = lint_paths([SRC], [SEAM_RULE], root=SRC.parent)
+    assert not run.findings, (
         "commit files through repro.reliability.durable instead: "
-        + ", ".join(offenders)
+        + ", ".join(f"{f.path}:{f.line}" for f in run.findings)
     )
 
 
 def test_detector_sees_the_allowed_evidence_move():
-    """Guards the walk itself: the fixture's raw rename and directory
-    fsync are found, its ``str``/``dataclasses`` look-alikes are not."""
-    calls = raw_storage_calls(FIXTURE)
-    assert [(f, m) for f, m, _line in calls] == [
-        ("archive", "replace"),
-        ("sync", "fsync_dir"),
-    ]
+    """Guards the rule itself: the fixture's raw rename and directory
+    fsync are found, its ``str``/``dataclasses`` look-alikes are not,
+    and the primitive's own module is exempt."""
+    source = FIXTURE.read_text()
+    findings = lint_source(source, "service/raw_storage_calls.py", [SEAM_RULE])
+    assert [f.line for f in findings] == [12, 16]
+    assert lint_source(source, "src/repro/reliability/durable.py", [SEAM_RULE]) == []
 
 
 class TestPublish:

@@ -15,6 +15,7 @@ from repro.core import Fingerprint, FingerprintDatabase
 from repro.core.serialize import dump_database
 from repro.reliability import FaultPlan, FaultyIO, repair_store
 from repro.service import ShardedFingerprintStore
+from repro.service.store import load_manifest
 from tests.reliability.test_repair import corrupt_record
 
 NBITS = 512
@@ -39,6 +40,24 @@ def populated_store(tmp_path, rng):
         )
     store.ingest(database)
     return root, store
+
+
+def crash_ingest_before_publish(root, rng):
+    """An ingest killed at its manifest write: every new segment is on
+    disk, unpublished.  Returns their store-relative names."""
+    batch = [
+        (f"late-{index:04d}", Fingerprint(bits=BitVector.random(NBITS, rng, 0.02)))
+        for index in range(6)
+    ]
+    plan = FaultPlan(fail_at=1, fail_count=10**6, match="manifest.json.tmp")
+    with pytest.raises(OSError):
+        ShardedFingerprintStore(root, storage_io=FaultyIO(plan)).ingest(batch)
+    published = {record.filename for record in load_manifest(root).segments}
+    return sorted(
+        path.relative_to(root).as_posix()
+        for path in root.glob("shard-*/*.pcfp")
+        if path.relative_to(root).as_posix() not in published
+    )
 
 
 def corrupt_first_segment(root, store):
@@ -81,15 +100,18 @@ class TestVerifyStore:
         assert any(not segment["ok"] for segment in payload["segments"])
 
     def test_verify_is_read_only_on_crashed_ingest(
-        self, populated_store, capsys
+        self, populated_store, rng, capsys
     ):
-        """A pending journal is reported, not resolved."""
+        """Unpublished segments are reported as recoverable, not swept."""
         root, _store = populated_store
-        journal = root / "ingest-journal.json"
-        journal.write_text('{"half a jour')
+        unpublished = crash_ingest_before_publish(root, rng)
+        assert unpublished
         assert main(["verify-store", "--store", str(root)]) == 1
-        assert "pending ingest journal" in capsys.readouterr().out
-        assert journal.exists()  # untouched
+        out = capsys.readouterr().out
+        for name in unpublished:
+            assert f"unpublished segment file {name}" in out
+        assert "INCONSISTENT (recoverable" in out
+        assert all((root / name).exists() for name in unpublished)
 
 
 class TestRepair:
@@ -110,13 +132,15 @@ class TestRepair:
         assert main(["verify-store", "--store", str(root)]) == 0
         assert "degraded shards" in capsys.readouterr().out
 
-    def test_repair_resolves_crashed_ingest(self, populated_store, capsys):
+    def test_repair_resolves_crashed_ingest(self, populated_store, rng, capsys):
         root, _store = populated_store
-        (root / "ingest-journal.json").write_text("{torn")
+        unpublished = crash_ingest_before_publish(root, rng)
         assert main(["repair", "--store", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "recovery: rolled_back" in out
-        assert not (root / "ingest-journal.json").exists()
+        for name in unpublished:
+            assert f"removed unpublished segment: {name}" in out
+            assert not (root / name).exists()
+        assert main(["verify-store", "--store", str(root)]) == 0
 
     def test_missing_store_exits_two(self, tmp_path, capsys):
         assert main(["repair", "--store", str(tmp_path / "nope")]) == 2
