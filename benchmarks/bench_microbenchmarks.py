@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bits import BitVector
+from repro.bits import PAGE_BITS, BitVector
 from repro.core import MinHasher, probable_cause_distance
 from repro.dram import KM41464A, DRAMChip, TrialConditions, ExperimentPlatform
 
@@ -63,10 +63,12 @@ def test_decay_trial(benchmark):
     assert result.error_count > 0
 
 
-def test_minhash_signature(sparse_pair, benchmark):
+def test_minhash_signature(bench_rng, benchmark):
     hasher = MinHasher()
-    sparse, _ = sparse_pair
-    signature = benchmark(hasher.signature, sparse)
+    page = BitVector.from_indices(
+        PAGE_BITS, bench_rng.choice(PAGE_BITS, PAGE_BITS // 100, replace=False)
+    )
+    signature = benchmark(hasher.signature, page)
     assert signature.size == hasher.params.num_hashes
 
 

@@ -16,7 +16,7 @@ equality work on whole words.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -255,11 +255,6 @@ class BitVector:
         """Sorted array of the indices of all set bits."""
         bools = self.to_bool_array()
         return np.flatnonzero(bools)
-
-    def iter_indices(self) -> Iterator[int]:
-        """Iterate over set-bit indices in ascending order."""
-        for index in self.to_indices():
-            yield int(index)
 
     def to_bool_array(self) -> np.ndarray:
         """Unpack into a 1-D boolean array of length :attr:`nbits`."""

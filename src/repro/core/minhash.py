@@ -12,16 +12,25 @@ short signatures collide reliably, while cross-chip pages share only
 the random ~1 % overlap and essentially never collide.  Candidates
 produced here are *always* re-verified with the real distance metric by
 the caller — LSH is a recall filter, not a decision procedure.
+
+Each hash function is a salted splitmix64, a bijection of uint64, so
+over a page's index universe it is a permutation.  Signing therefore
+reads two tables built once per ``(MinHashParams, universe)`` and
+shared by every :class:`MinHasher`: each index's rank under every hash,
+and every hash's values in rank order.  An index set's minimum hash
+value is the value at its minimum rank — one gather and one ``min``
+per signature, no hashing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.bits import BitVector
+from repro.bits import PAGE_BITS, BitVector
 
 
 @dataclass(frozen=True)
@@ -44,22 +53,31 @@ class MinHashParams:
 
 
 class MinHasher:
-    """Computes MinHash signatures of set-bit index sets."""
+    """Computes MinHash signatures of set-bit index sets.
 
-    def __init__(self, params: MinHashParams = MinHashParams()):
+    Indices must lie in ``[0, universe)``; the default universe is one
+    4 KB page.
+    """
+
+    def __init__(
+        self, params: MinHashParams = MinHashParams(), universe: int = PAGE_BITS
+    ):
+        if universe < 1:
+            raise ValueError(f"universe must be positive, got {universe}")
         self._params = params
-        rng = np.random.default_rng(params.seed)
-        # One independent 64-bit salt per hash function; each function is
-        # a salted splitmix64 finalizer, i.e. a high-quality pseudo-random
-        # permutation of the index space.
-        self._salts = rng.integers(
-            0, np.iinfo(np.uint64).max, size=params.num_hashes, dtype=np.uint64
-        )
+        self._universe = universe
+        self._ranks, self._values = _rank_tables(params, universe)
+        self._hashes = np.arange(params.num_hashes)
 
     @property
     def params(self) -> MinHashParams:
         """Signature shape in use."""
         return self._params
+
+    @property
+    def universe(self) -> int:
+        """Number of indices a signed set may draw from."""
+        return self._universe
 
     def signature(self, bits: BitVector) -> np.ndarray:
         """MinHash signature of a bit vector's set-bit set.
@@ -71,13 +89,20 @@ class MinHasher:
         return self.signature_of_indices(indices)
 
     def signature_of_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Signature from a precomputed set-bit index array."""
+        """Signature from a precomputed set-bit index array.
+
+        Entry ``h`` is the minimum over the set of hash ``h``'s salted
+        splitmix64, read as the value at the set's minimum rank.
+        """
         if indices.size == 0:
             raise ValueError("cannot MinHash an empty set")
-        values = indices.astype(np.uint64)
-        # (num_hashes, n) salted avalanche hashes, minimized over n.
-        mixed = _splitmix64(values[None, :] + self._salts[:, None])
-        return mixed.min(axis=1)
+        if indices.min() < 0 or indices.max() >= self._universe:
+            raise ValueError(
+                f"indices must lie in [0, {self._universe}), got "
+                f"[{indices.min()}, {indices.max()}]"
+            )
+        lowest = self._ranks.take(indices, axis=0).min(axis=0)
+        return self._values[self._hashes, lowest]
 
     def band_keys(self, signature: np.ndarray) -> List[Tuple[int, bytes]]:
         """LSH band keys of a signature: ``(band_index, band_bytes)``."""
@@ -87,6 +112,36 @@ class MinHasher:
             (band, raw[band * width : (band + 1) * width])
             for band in range(self._params.bands)
         ]
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_tables(params: MinHashParams, universe: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ranks, values)`` of every hash over ``[0, universe)``, read-only.
+
+    ``ranks[i, h]`` is index ``i``'s position when hash ``h``'s values
+    are sorted (uint16 while ``universe`` <= 65,536, else uint32), and
+    ``values[h, r]`` is the value at rank ``r``.  Hash ``h`` is a
+    splitmix64 salted with the ``h``-th draw of a generator seeded with
+    ``params.seed``.  At 32,768 indices and 32 hashes the tables hold
+    2 MiB of ranks and 8 MiB of values; the build runs one hash at a
+    time, so it needs little beyond them.
+    """
+    salts = np.random.default_rng(params.seed).integers(
+        0, np.iinfo(np.uint64).max, size=params.num_hashes, dtype=np.uint64
+    )
+    rank_dtype = np.uint16 if universe <= 1 << 16 else np.uint32
+    domain = np.arange(universe, dtype=np.uint64)
+    positions = np.arange(universe, dtype=rank_dtype)
+    ranks = np.empty((universe, params.num_hashes), dtype=rank_dtype)
+    values = np.empty((params.num_hashes, universe), dtype=np.uint64)
+    for hash_index, salt in enumerate(salts):
+        mixed = _splitmix64(domain + salt)
+        order = np.argsort(mixed)
+        values[hash_index] = mixed[order]
+        ranks[order, hash_index] = positions
+    ranks.setflags(write=False)
+    values.setflags(write=False)
+    return ranks, values
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:

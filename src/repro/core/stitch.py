@@ -14,9 +14,10 @@ a longer partial memory fingerprint.
    and MinHash band keys); the keys are looked up in an LSH index
    (:mod:`repro.core.minhash`) to propose ``(assembly, alignment)``
    candidates, and the same keys index the pages afterwards;
-2. every candidate alignment is *verified* page-by-page with the
-   Algorithm 3 distance — at least ``min_overlap_pages`` overlapping
-   pages must agree and at least ``min_agreement`` of them must match;
+2. every candidate alignment is *verified* with the Algorithm 3
+   distance of each overlapping page pair, all pairs scored in one AND
+   + popcount call — at least ``min_overlap_pages`` overlapping pages
+   must agree and at least ``min_agreement`` of them must match;
 3. the output joins every verified assembly, merging assemblies it
    bridges; otherwise it founds a new assembly (a new suspected chip).
 
@@ -32,16 +33,25 @@ overlaps bridge assemblies together, converging toward one per chip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.bits import BitVector
-from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
+import numpy as np
+
+from repro.bits import BitVector, popcount_words
+from repro.core.distance import DEFAULT_THRESHOLD
 from repro.core.fingerprint import Fingerprint
 from repro.core.minhash import LSHIndex, MinHasher
 
-#: Per-page LSH band keys of one output; ``None`` marks a page that
-#: is neither queried nor indexed (weight under ``min_page_weight``).
-_PageKeys = List[Optional[List[Tuple[int, bytes]]]]
+
+class _SignedOutput(NamedTuple):
+    """One output's pages, each read once by :meth:`Stitcher._sign_pages`."""
+
+    pages: Sequence[BitVector]
+    #: Popcount of each page.
+    weights: List[int]
+    #: Each page's LSH band keys; ``None`` marks a page that is neither
+    #: queried nor indexed (empty, or under ``min_page_weight``).
+    keys: List[Optional[List[Tuple[int, bytes]]]]
 
 
 class OffsetUnionFind:
@@ -126,6 +136,9 @@ class Assembly:
     """
 
     pages: Dict[int, Fingerprint] = field(default_factory=dict)
+    #: Popcount of each page in ``pages``, kept beside it so that
+    #: verification never recounts a stored page.
+    weights: Dict[int, int] = field(default_factory=dict)
     output_ids: List[int] = field(default_factory=list)
 
     @property
@@ -181,10 +194,10 @@ class Stitcher:
         self._min_overlap_pages = min_overlap_pages
         self._min_agreement = min_agreement
         self._min_page_weight = min_page_weight
-        self._hasher = MinHasher()
+        #: Built for the page width pinned by the first output.
+        self._hasher: Optional[MinHasher] = None
         self._index = LSHIndex()
         self._union = OffsetUnionFind()
-        self._page_bits: Optional[int] = None
         #: root id -> Assembly, for live roots only.
         self._assemblies: Dict[int, Assembly] = {}
         self._outputs_seen = 0
@@ -198,18 +211,9 @@ class Stitcher:
         """Number of live assemblies — Figure 13's y-axis."""
         return len(self._assemblies)
 
-    @property
-    def outputs_seen(self) -> int:
-        """Number of outputs consumed so far."""
-        return self._outputs_seen
-
     def assemblies(self) -> List[Assembly]:
         """Live assemblies (copies of the internal references)."""
         return list(self._assemblies.values())
-
-    def system_fingerprints(self) -> List[Dict[int, Fingerprint]]:
-        """Page maps of every live assembly."""
-        return [dict(assembly.pages) for assembly in self._assemblies.values()]
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -230,22 +234,22 @@ class Stitcher:
                     f"page {position} has {page.nbits} bits, expected "
                     f"{page_bits} (pages of one output must be uniform)"
                 )
-        if self._page_bits is None:
-            self._page_bits = page_bits
-        elif page_bits != self._page_bits:
+        if self._hasher is None:
+            self._hasher = MinHasher(universe=page_bits)
+        elif page_bits != self._hasher.universe:
             raise ValueError(
                 f"output uses {page_bits}-bit pages but this stitcher "
-                f"holds {self._page_bits}-bit pages"
+                f"holds {self._hasher.universe}-bit pages"
             )
         output_id = self._outputs_seen
         self._outputs_seen += 1
-        weights, keys = self._sign_pages(page_errors)
+        output = self._sign_pages(self._hasher, page_errors)
 
-        alignments = self._verified_alignments(page_errors, weights, keys)
+        alignments = self._verified_alignments(output)
         merged = len(alignments)
 
         if not alignments:
-            root = self._new_assembly(page_errors, keys, output_id)
+            root = self._new_assembly(output, output_id)
             return StitchReport(
                 output_id=output_id,
                 assembly_id=root,
@@ -254,7 +258,7 @@ class Stitcher:
             )
 
         root, shift, aligned_pages = self._merge_alignments(alignments)
-        self._absorb_output(root, shift, page_errors, keys, output_id)
+        self._absorb_output(root, shift, output, output_id)
         return StitchReport(
             output_id=output_id,
             assembly_id=root,
@@ -267,34 +271,32 @@ class Stitcher:
     # ------------------------------------------------------------------
 
     def _sign_pages(
-        self, page_errors: Sequence[BitVector]
-    ) -> Tuple[List[int], _PageKeys]:
+        self, hasher: MinHasher, page_errors: Sequence[BitVector]
+    ) -> _SignedOutput:
         """Each page's weight and band keys, one signature per page.
 
         Empty pages and pages under ``min_page_weight`` are not signed.
         """
         weights: List[int] = []
-        keys: _PageKeys = []
+        keys: List[Optional[List[Tuple[int, bytes]]]] = []
         for errors in page_errors:
             indices = errors.to_indices()
             weights.append(indices.size)
             if indices.size and indices.size >= self._min_page_weight:
-                signature = self._hasher.signature_of_indices(indices)
-                keys.append(self._hasher.band_keys(signature))
+                signature = hasher.signature_of_indices(indices)
+                keys.append(hasher.band_keys(signature))
             else:
                 keys.append(None)
-        return weights, keys
+        return _SignedOutput(page_errors, weights, keys)
 
-    def _verified_alignments(
-        self, page_errors: Sequence[BitVector], weights: List[int], keys: _PageKeys
-    ) -> List[Tuple[int, int, int]]:
+    def _verified_alignments(self, output: _SignedOutput) -> List[Tuple[int, int, int]]:
         """Verified ``(root, shift, matching_pages)`` alignments.
 
         ``shift`` places output page 0 at assembly offset ``shift``.
         At most one alignment per assembly root is returned (the best).
         """
         votes: Dict[Tuple[int, int], int] = {}
-        for page_position, page_keys in enumerate(keys):
+        for page_position, page_keys in enumerate(output.keys):
             if page_keys is None:
                 continue
             for element, offset in self._index.query(page_keys):
@@ -313,34 +315,45 @@ class Stitcher:
 
         verified = []
         for root, (shift, _count) in best_per_root.items():
-            matches = self._score_alignment(root, shift, page_errors, weights)
+            matches = self._score_alignment(root, shift, output)
             if matches is not None:
                 verified.append((root, shift, matches))
         return verified
 
     def _score_alignment(
-        self,
-        root: int,
-        shift: int,
-        page_errors: Sequence[BitVector],
-        weights: List[int],
+        self, root: int, shift: int, output: _SignedOutput
     ) -> Optional[int]:
-        """Matching-page count if the alignment verifies, else None."""
+        """Matching-page count if the alignment verifies, else None.
+
+        A page pair is compared when both sides weigh at least
+        ``min_page_weight``.  All compared pairs are scored in one AND +
+        popcount call: Algorithm 3's distance is
+        ``(min_w - |a & b|) / min_w``, divided from the same integers
+        as :func:`~repro.core.distance.probable_cause_distance` and
+        0.0 when ``min_w`` is 0, so every decision matches it bit for
+        bit.
+        """
         assembly = self._assemblies[root]
-        compared = 0
-        matched = 0
-        for page_position, errors in enumerate(page_errors):
-            if weights[page_position] < self._min_page_weight:
+        positions: List[int] = []
+        smaller: List[int] = []
+        for position, weight in enumerate(output.weights):
+            if weight < self._min_page_weight:
                 continue
-            existing = assembly.pages.get(shift + page_position)
-            if existing is None or existing.weight < self._min_page_weight:
-                continue
-            compared += 1
-            distance = probable_cause_distance(errors, existing)
-            if distance < self._threshold:
-                matched += 1
-        if compared < self._min_overlap_pages:
+            stored = assembly.weights.get(shift + position)
+            if stored is not None and stored >= self._min_page_weight:
+                positions.append(position)
+                smaller.append(min(weight, stored))
+        compared = len(positions)
+        if compared == 0 or compared < self._min_overlap_pages:
             return None
+        mine = np.stack([output.pages[position]._words for position in positions])
+        theirs = np.stack(
+            [assembly.pages[shift + position].bits._words for position in positions]
+        )
+        min_weights = np.array(smaller, dtype=np.int64)
+        missing = min_weights - popcount_words(mine & theirs)
+        distances = missing / np.maximum(min_weights, 1)
+        matched = int(np.count_nonzero(distances < self._threshold))
         if matched / compared < self._min_agreement:
             return None
         return matched
@@ -349,13 +362,11 @@ class Stitcher:
     # Assembly mutation
     # ------------------------------------------------------------------
 
-    def _new_assembly(
-        self, page_errors: Sequence[BitVector], keys: _PageKeys, output_id: int
-    ) -> int:
+    def _new_assembly(self, output: _SignedOutput, output_id: int) -> int:
         element = self._union.make_set()
         assembly = Assembly(output_ids=[output_id])
         self._assemblies[element] = assembly
-        self._insert_pages(element, 0, page_errors, keys, assembly)
+        self._insert_pages(element, 0, output, assembly)
         return element
 
     def _merge_alignments(
@@ -402,36 +413,38 @@ class Stitcher:
             existing = target.pages.get(destination)
             if existing is None:
                 target.pages[destination] = fingerprint
+                target.weights[destination] = source.weights[offset]
             else:
-                target.pages[destination] = existing.merge(fingerprint)
+                merged = existing.merge(fingerprint)
+                target.pages[destination] = merged
+                target.weights[destination] = merged.weight
         target.output_ids.extend(source.output_ids)
 
     def _absorb_output(
         self,
         root: int,
         shift: int,
-        page_errors: Sequence[BitVector],
-        keys: _PageKeys,
+        output: _SignedOutput,
         output_id: int,
     ) -> None:
         assembly = self._assemblies[root]
         assembly.output_ids.append(output_id)
-        self._insert_pages(root, shift, page_errors, keys, assembly)
+        self._insert_pages(root, shift, output, assembly)
 
     def _insert_pages(
-        self,
-        element: int,
-        shift: int,
-        page_errors: Sequence[BitVector],
-        keys: _PageKeys,
-        assembly: Assembly,
+        self, element: int, shift: int, output: _SignedOutput, assembly: Assembly
     ) -> None:
-        for page_position, (errors, page_keys) in enumerate(zip(page_errors, keys)):
+        for page_position, (errors, page_keys) in enumerate(
+            zip(output.pages, output.keys)
+        ):
             offset = shift + page_position
             existing = assembly.pages.get(offset)
             if existing is None:
                 assembly.pages[offset] = Fingerprint(bits=errors.copy())
+                assembly.weights[offset] = output.weights[page_position]
             else:
-                assembly.pages[offset] = existing.intersect(errors)
+                refined = existing.intersect(errors)
+                assembly.pages[offset] = refined
+                assembly.weights[offset] = refined.weight
             if page_keys is not None:
                 self._index.add(page_keys, (element, offset))

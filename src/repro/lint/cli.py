@@ -112,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _print_rules() -> None:
     for rule_id in sorted(RULES_BY_ID):
         rule = RULES_BY_ID[rule_id]
-        scope = (
-            ", ".join(rule.path_filters) if rule.path_filters else "all files"
-        )
+        scope = ", ".join(rule.path_filters) if rule.path_filters else "all files"
+        if rule.exempt_modules:
+            scope += "; exempt: " + ", ".join(rule.exempt_modules)
         print(f"{rule_id}  {rule.title}  [{scope}]")
         print(f"        invariant: {rule.invariant}")
 

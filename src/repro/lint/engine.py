@@ -5,7 +5,7 @@ depth-first, source-ordered walk over its AST.  The engine — not the
 rules — tracks the structural context every repo invariant cares
 about:
 
-* the enclosing class and function stacks;
+* the enclosing function stack;
 * which ``with`` blocks currently hold a lock-like object (an
   attribute or name whose identifier looks like a ``Lock`` /
   ``Condition``), and whether that object hangs off ``self``.
@@ -71,12 +71,6 @@ def attr_chain(expr: ast.AST) -> Tuple[str, ...]:
     return tuple(reversed(parts))
 
 
-def terminal_name(expr: ast.AST) -> str:
-    """Last identifier of a name/attribute chain (``""`` when none)."""
-    chain = attr_chain(expr)
-    return chain[-1] if chain and chain[-1] != "?" else ""
-
-
 class LockEntry:
     """One lock-like object currently held by an enclosing ``with``."""
 
@@ -110,14 +104,8 @@ class Scope:
     """Structural context the engine maintains during the walk."""
 
     def __init__(self) -> None:
-        self.class_stack: List[ast.ClassDef] = []
         self.func_stack: List[ast.AST] = []
         self.locks: List[LockEntry] = []
-
-    @property
-    def current_class(self) -> Optional[ast.ClassDef]:
-        """Innermost enclosing class, if any."""
-        return self.class_stack[-1] if self.class_stack else None
 
     @property
     def current_function(self) -> Optional[ast.AST]:
@@ -188,12 +176,9 @@ class _Walker:
         self.scope = Scope()
 
     def walk(self, node: ast.AST) -> None:
-        pushed_class = pushed_func = False
+        pushed_func = False
         pushed_locks = 0
-        if isinstance(node, ast.ClassDef):
-            self.scope.class_stack.append(node)
-            pushed_class = True
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.scope.func_stack.append(node)
             pushed_func = True
         elif isinstance(node, (ast.With, ast.AsyncWith)):
@@ -208,8 +193,6 @@ class _Walker:
             self.walk(child)
         for rule in self._rules:
             rule.leave(node, self.scope)
-        if pushed_class:
-            self.scope.class_stack.pop()
         if pushed_func:
             self.scope.func_stack.pop()
         for _ in range(pushed_locks):

@@ -120,10 +120,6 @@ class BlockingAnalysis:
                             self.block_chains[qualname] = candidate
                             changed = True
 
-    def may_block(self, qualname: str) -> bool:
-        """True when ``qualname`` can reach a blocking operation."""
-        return qualname in self.block_chains
-
     def check(self) -> List[Tuple[Finding, Tuple[int, int]]]:
         """``REP010`` findings over every function's call sites."""
         findings: List[Tuple[Finding, Tuple[int, int]]] = []

@@ -39,6 +39,8 @@ class Rule:
     invariant: str = ""
     #: Path components the rule is limited to (empty = every file).
     path_filters: Tuple[str, ...] = ()
+    #: Path suffixes of the sanctioned modules the rule never checks.
+    exempt_modules: Tuple[str, ...] = ()
 
     def __init__(self, context: LintContext) -> None:
         self.context = context
@@ -50,6 +52,8 @@ class Rule:
     @classmethod
     def applies_to(cls, rel_path: str) -> bool:
         """True when this rule runs on ``rel_path``."""
+        if rel_path.endswith(cls.exempt_modules):
+            return False
         if not cls.path_filters:
             return True
         parts = set(PurePosixPath(rel_path).parts)
@@ -163,10 +167,6 @@ class UnseededRandomRule(Rule):
 # REP002 — crash safety: durable commits go through the durable seam
 # ----------------------------------------------------------------------
 
-#: The modules allowed raw renames and directory fsyncs: the
-#: durable-commit primitive and the fault-injection seam beneath it.
-_DURABLE_SEAM_MODULES = ("reliability/durable.py", "reliability/faults.py")
-
 #: A receiver named like a StorageIO (``io``, ``_io``, ``io_seam``,
 #: ``storage_io``), which keeps ``str.replace`` and
 #: ``dataclasses.replace`` out.
@@ -222,10 +222,9 @@ class DurableSeamRule(Rule):
     rule_id = "REP002"
     title = "durable commit outside the durable seam"
     invariant = "crash safety: commits go through repro.reliability.durable (§8)"
-
-    @classmethod
-    def applies_to(cls, rel_path: str) -> bool:
-        return not rel_path.endswith(_DURABLE_SEAM_MODULES)
+    #: The durable-commit primitive and the fault-injection seam
+    #: beneath it: the modules allowed raw renames and directory fsyncs.
+    exempt_modules = ("reliability/durable.py", "reliability/faults.py")
 
     def enter(self, node: ast.AST, scope: Scope) -> None:
         if not isinstance(node, ast.Call):
@@ -437,11 +436,6 @@ class FloatEqualityRule(Rule):
 # ----------------------------------------------------------------------
 
 
-#: The one module allowed to read the wall clock: the sanctioned seam
-#: everything else (the run ledger's timestamps) goes through.
-_WALL_CLOCK_SEAM = "obs/clock.py"
-
-
 class WallClockRule(Rule):
     """REP006: ``time.time()`` jumps with NTP/DST; durations, timeouts
     and backoff schedules must use ``time.monotonic()`` (or
@@ -452,12 +446,9 @@ class WallClockRule(Rule):
     rule_id = "REP006"
     title = "time.time() used for durations/timeouts"
     invariant = "timeouts and backoff survive wall-clock adjustments"
-
-    @classmethod
-    def applies_to(cls, rel_path: str) -> bool:
-        if rel_path.endswith(_WALL_CLOCK_SEAM):
-            return False
-        return super().applies_to(rel_path)
+    #: The one module allowed to read the wall clock: the seam real
+    #: timestamps (the run ledger's) go through.
+    exempt_modules = ("obs/clock.py",)
 
     def enter(self, node: ast.AST, scope: Scope) -> None:
         if not isinstance(node, ast.Call):
@@ -476,11 +467,6 @@ class WallClockRule(Rule):
 # ----------------------------------------------------------------------
 # REP007 — metrics go through the registry, not bare dict counters
 # ----------------------------------------------------------------------
-
-#: The sanctioned counter implementations themselves — the one place a
-#: raw dict-backed counter is the point, not a bypass.
-_SANCTIONED_METRIC_MODULES = ("service/metrics.py",)
-
 
 def _is_get_default_call(expr: ast.AST) -> bool:
     """True for ``<mapping>.get(key, <default>)`` expressions."""
@@ -501,12 +487,9 @@ class BareCounterRule(Rule):
     title = "bare dict counter bypasses the metrics registry"
     invariant = "every counter is exported (observability, DESIGN.md §11)"
     path_filters = ("service", "reliability")
-
-    @classmethod
-    def applies_to(cls, rel_path: str) -> bool:
-        if any(rel_path.endswith(m) for m in _SANCTIONED_METRIC_MODULES):
-            return False
-        return super().applies_to(rel_path)
+    #: The sanctioned counter implementation itself: the one place a
+    #: raw dict-backed counter is the point, not a bypass.
+    exempt_modules = ("service/metrics.py",)
 
     def enter(self, node: ast.AST, scope: Scope) -> None:
         if isinstance(node, ast.Call):

@@ -102,6 +102,61 @@ class TestMinHasher:
         ]
 
 
+def splitmix_min_oracle(params, indices):
+    """Signature by definition: per salt, the least salted splitmix64
+    over the set, with Python ints."""
+    salts = np.random.default_rng(params.seed).integers(
+        0, np.iinfo(np.uint64).max, size=params.num_hashes, dtype=np.uint64
+    )
+    return [
+        min(splitmix64_scalar((int(salt) + int(i)) & _MASK64) for i in indices)
+        for salt in salts
+    ]
+
+
+index_sets_in_universe = st.sampled_from([64, 1000, 32768]).flatmap(
+    lambda nbits: st.tuples(
+        st.just(nbits),
+        st.lists(
+            st.integers(min_value=0, max_value=nbits - 1),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+    )
+)
+
+
+class TestRankSigning:
+    @settings(max_examples=60, deadline=None)
+    @given(index_sets_in_universe)
+    def test_rank_signature_matches_splitmix_oracle(self, case):
+        """Signing from the rank tables equals the direct salted
+        splitmix64 minimum, for any index order and width."""
+        nbits, indices = case
+        hasher = MinHasher(universe=nbits)
+        signature = hasher.signature_of_indices(np.array(indices))
+        assert signature.dtype == np.uint64
+        assert signature.tolist() == splitmix_min_oracle(hasher.params, indices)
+
+    def test_hashers_share_one_table(self):
+        first, second = MinHasher(universe=1000), MinHasher(universe=1000)
+        assert first._ranks is second._ranks
+        assert first._values is second._values
+        assert MinHasher(universe=64)._ranks is not first._ranks
+        assert first._ranks.dtype == np.uint16
+        assert not first._ranks.flags.writeable
+
+    @pytest.mark.parametrize("indices", [[3, 64], [-1, 3], [1 << 40]])
+    def test_out_of_range_index_rejected(self, indices):
+        with pytest.raises(ValueError):
+            MinHasher(universe=64).signature_of_indices(np.array(indices))
+
+    def test_empty_universe_rejected(self):
+        with pytest.raises(ValueError):
+            MinHasher(universe=0)
+
+
 class TestLSHIndex:
     def test_add_and_query_recall(self, rng):
         """Same-page observations (2 % noise) must be found."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bits import BitVector
-from repro.core import MinHasher, OffsetUnionFind, Stitcher
+from repro.core import MinHasher, OffsetUnionFind, Stitcher, probable_cause_distance
 from repro.system import ModeledApproximateMemory, PhysicalMemoryMap
 
 
@@ -339,3 +339,99 @@ def test_seeded_modeled_run_matches_recorded_reports():
         curve.append(stitcher.suspected_chip_count)
     assert reports == RECORDED_REPORTS
     assert curve == RECORDED_CURVE
+
+
+# ----------------------------------------------------------------------
+# Batched alignment verification against the scalar distance
+# ----------------------------------------------------------------------
+
+
+def modeled_machines():
+    """The recorded run's victim pair: 48 pages of 4,096 bits, the
+    second with light pages near ``min_page_weight``."""
+    memory_map = PhysicalMemoryMap(total_pages=48)
+    return [
+        ModeledApproximateMemory(chip_seed=7, memory_map=memory_map, page_bits=4096),
+        ModeledApproximateMemory(
+            chip_seed=8,
+            memory_map=memory_map,
+            page_bits=4096,
+            error_rate=0.004,
+            spurious_bits=1.0,
+            charge_fraction=0.6,
+        ),
+    ]
+
+
+def scalar_score(stitcher, root, shift, pages):
+    """The per-page loop the kernel call replaced: one
+    ``probable_cause_distance`` per compared page pair."""
+    assembly = stitcher._assemblies[root]
+    floor = stitcher._min_page_weight
+    compared = matched = 0
+    for position, errors in enumerate(pages):
+        if errors.popcount() < floor:
+            continue
+        existing = assembly.pages.get(shift + position)
+        if existing is None or existing.weight < floor:
+            continue
+        compared += 1
+        if probable_cause_distance(errors, existing) < stitcher._threshold:
+            matched += 1
+    if compared < stitcher._min_overlap_pages:
+        return None
+    if matched / compared < stitcher._min_agreement:
+        return None
+    return matched
+
+
+@pytest.mark.parametrize(
+    "min_page_weight, min_overlap_pages", [(8, 1), (8, 4), (0, 1)]
+)
+def test_score_alignment_matches_scalar_distance_loop(
+    min_page_weight, min_overlap_pages
+):
+    """Every alignment of every later output against every live
+    assembly scores as the scalar loop does: light pages, blank pages
+    (weight 0, compared when ``min_page_weight`` is 0), too little
+    overlap at the edges, and assemblies grown by merges."""
+    machines = modeled_machines()
+    rng = np.random.default_rng(2015)
+    stitcher = Stitcher(
+        min_page_weight=min_page_weight, min_overlap_pages=min_overlap_pages
+    )
+    blank = [BitVector.zeros(4096)]
+    scored = []
+    for step in range(50):
+        machine = machines[int(rng.integers(0, len(machines)))]
+        pages = machine.publish_output(8, rng).page_errors + blank
+        if step >= 30:
+            output = stitcher._sign_pages(stitcher._hasher, pages)
+            for root, assembly in stitcher._assemblies.items():
+                low, high = min(assembly.pages), max(assembly.pages)
+                for shift in range(low - len(pages), high + 2):
+                    got = stitcher._score_alignment(root, shift, output)
+                    assert got == scalar_score(stitcher, root, shift, pages)
+                    scored.append(got)
+        stitcher.add_output(pages)
+    assert any(count is None for count in scored)
+    assert any(count is not None and count > 0 for count in scored)
+    assert any(len(assembly.output_ids) > 2 for assembly in stitcher.assemblies())
+
+
+def test_assembly_weights_track_pages_after_seeded_run():
+    """``Assembly.weights`` equals each stored page's popcount after
+    inserts, refinements and merges."""
+    machines = modeled_machines()
+    rng = np.random.default_rng(2015)
+    stitcher = Stitcher()
+    merges = 0
+    for _ in range(60):
+        machine = machines[int(rng.integers(0, len(machines)))]
+        report = stitcher.add_output(machine.publish_output(8, rng).page_errors)
+        merges += report.merged_assemblies > 1
+    assert merges
+    for assembly in stitcher.assemblies():
+        assert assembly.weights.keys() == assembly.pages.keys()
+        for offset, page in assembly.pages.items():
+            assert assembly.weights[offset] == page.weight

@@ -171,3 +171,14 @@ class TestListRules:
         ):
             assert rule_id in out
         assert "invariant" in out
+
+    def test_catalogue_names_each_rules_exempt_modules(self, workdir, capsys):
+        """A rule's scope line lists the modules it exempts, read from
+        the same ``exempt_modules`` its ``applies_to`` skips."""
+        assert main(["--list-rules"]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "reliability/durable.py" in lines["REP002"]
+        assert "reliability/faults.py" in lines["REP002"]
+        assert "obs/clock.py" in lines["REP006"]
+        assert "service/metrics.py" in lines["REP007"]
+        assert "exempt" not in lines["REP001"]
