@@ -124,10 +124,10 @@ class MappedGeometry:
     # Translation adapters
     # ------------------------------------------------------------------
 
-    def _check_range(self, pages: np.ndarray, direction: str) -> None:
+    def _check_range(self, pages: np.ndarray) -> None:
         if pages.size and int(pages.max()) >= self.total_pages:
             raise IndexError(
-                f"{direction} page {int(pages.max())} out of range for "
+                f"logical page {int(pages.max())} out of range for "
                 f"{self.total_pages} pages"
             )
 
@@ -152,19 +152,13 @@ class MappedGeometry:
     def physical_pages(self, logical: Sequence[int]) -> np.ndarray:
         """Vectorized :meth:`physical_page`."""
         array = np.asarray(logical, dtype=np.uint64)
-        self._check_range(array, "logical")
+        self._check_range(array)
         return np.asarray(self.mapping.to_physical(array))
-
-    def logical_pages(self, physical: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`logical_page`."""
-        array = np.asarray(physical, dtype=np.uint64)
-        self._check_range(array, "physical")
-        return np.asarray(self.mapping.to_logical(array))
 
     def coordinates(self, logical: Sequence[int]) -> Dict[str, np.ndarray]:
         """Vectorized device coordinates of logical pages."""
         array = np.asarray(logical, dtype=np.uint64)
-        self._check_range(array, "logical")
+        self._check_range(array)
         return self.mapping.coordinates(array)
 
     # ------------------------------------------------------------------
@@ -179,7 +173,7 @@ class MappedGeometry:
         target end-to-end (the Rowhammer-adjacent figure of merit).
         """
         array = np.unique(np.asarray(logical, dtype=np.uint64))
-        self._check_range(array, "logical")
+        self._check_range(array)
         if array.size == 0:
             return MappedCoverage(0, 0, 0, 0, 0)
         coords = self.mapping.coordinates(array)

@@ -173,7 +173,7 @@ def _read_fingerprint(stream: BinaryIO):
     indices = np.frombuffer(raw, dtype="<u8")
     if index_count and (indices >= nbits).any():
         raise SerializationError("fingerprint index out of range")
-    bits = BitVector.from_indices(int(nbits), indices.astype(np.int64))
+    bits = BitVector.from_indices(int(nbits), indices)
     return key, Fingerprint(bits=bits, support=int(support), source=source)
 
 

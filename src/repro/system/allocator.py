@@ -73,10 +73,6 @@ class BuddyAllocator:
             len(blocks) << order for order, blocks in self._free.items()
         )
 
-    def live_allocations(self) -> int:
-        """Number of outstanding allocations."""
-        return len(self._allocated)
-
     # ------------------------------------------------------------------
 
     def allocate(self, n_pages: int) -> Optional[int]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,8 +117,9 @@ class TestModeledMemory:
 
     def test_page_bounds_checked(self):
         machine = self.make_machine(pages=4)
-        with pytest.raises(IndexError):
-            machine.volatile_indices(4)
+        for page in (-1, 4, 1000):
+            with pytest.raises(IndexError):
+                machine.volatile_indices(page)
 
     def test_observation_noise_calibration(self, rng):
         machine = self.make_machine(miss_rate=0.02, spurious_bits=4.0)
@@ -153,3 +156,69 @@ class TestModeledMemory:
         machine = self.make_machine()
         page_fp = machine.exact_page_fingerprint(2)
         assert np.array_equal(page_fp.to_indices(), machine.volatile_indices(2))
+
+
+def fresh_volatile_draw(chip_seed, page, page_bits, error_rate=0.01):
+    """The volatile set drawn from scratch, as the model defines it."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=chip_seed, spawn_key=(page,))
+    )
+    size = max(1, int(round(error_rate * page_bits)))
+    return np.sort(rng.choice(page_bits, size=size, replace=False))
+
+
+class TestVolatileTable:
+    """Each page's volatile set is drawn once per machine and kept."""
+
+    @pytest.mark.parametrize(
+        "page_bits, dtype",
+        [(4096, np.uint16), (32_768, np.uint16), (1 << 17, np.uint32)],
+    )
+    def test_table_equals_fresh_draws(self, page_bits, dtype):
+        picks = np.random.default_rng(page_bits)
+        for chip_seed in picks.integers(0, 2**32, size=3):
+            machine = ModeledApproximateMemory(
+                chip_seed=int(chip_seed),
+                memory_map=PhysicalMemoryMap(total_pages=128),
+                page_bits=page_bits,
+            )
+            for page in picks.choice(128, size=6, replace=False):
+                got = machine.volatile_indices(int(page))
+                assert got.dtype == dtype
+                assert np.array_equal(
+                    got, fresh_volatile_draw(int(chip_seed), int(page), page_bits)
+                )
+                assert np.array_equal(machine.volatile_indices(int(page)), got)
+
+    def test_rows_are_read_only(self):
+        machine = ModeledApproximateMemory(
+            chip_seed=3, memory_map=PhysicalMemoryMap(total_pages=8)
+        )
+        row = machine.volatile_indices(2)
+        with pytest.raises(ValueError):
+            row[0] = 1
+        assert np.array_equal(
+            machine.volatile_indices(2), fresh_volatile_draw(3, 2, PAGE_BITS)
+        )
+
+    @pytest.mark.parametrize(
+        "charge_fraction, expected",
+        [
+            (1.0, "c2400dfa252023539ea11f1919191c2926da28928c3712e60fda153f918e784e"),
+            (0.75, "0d5fcfecccd977595e995feb00ed6e045ac4947623dd0df5da56d73cd9bd3bfb"),
+        ],
+    )
+    def test_published_pages_are_unchanged(self, charge_fraction, expected):
+        """Digests recorded when every observation redrew its page's
+        volatile set: keeping the sets changes no published bit."""
+        machine = ModeledApproximateMemory(
+            chip_seed=11,
+            memory_map=PhysicalMemoryMap(total_pages=256),
+            charge_fraction=charge_fraction,
+        )
+        rng = np.random.default_rng(11)
+        digest = hashlib.sha256()
+        for _ in range(20):
+            for page in machine.publish_output(8, rng).page_errors:
+                digest.update(page._words.tobytes())
+        assert digest.hexdigest() == expected
