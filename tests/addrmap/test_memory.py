@@ -10,6 +10,7 @@ from repro.addrmap import (
     MappedGeometry,
     ddr2_xor_mapping,
 )
+from repro.addrmap.mapping import INTERLEAVE_FIELDS
 from repro.system import ModeledApproximateMemory, PhysicalMemoryMap
 
 TOTAL_PAGES = 256
@@ -46,6 +47,20 @@ def test_interleaved_permutes_fingerprints_not_physics():
     assert np.array_equal(
         machine.volatile_indices(page), base.volatile_indices(physical)
     )
+
+
+def test_probe_only_machine_over_a_huge_map_costs_nothing():
+    """Recovery builds a machine over 2**address_bits pages and only
+    probes it: no volatile-set table may be allocated for that."""
+    geometry = MappedGeometry(mapping=ddr2_xor_mapping(30))
+    machine = InterleavedApproximateMemory(chip_seed=2, geometry=geometry)
+    rng = np.random.default_rng(2)
+    last = geometry.total_pages - 1
+    assert machine.co_decay_probe(last, last, rng)
+    assert machine.co_decay_probe(0, last, rng) == geometry.mapping.colocated(
+        0, last, INTERLEAVE_FIELDS
+    )
+    assert machine._volatile is None
 
 
 def test_memory_map_size_must_match_geometry():
