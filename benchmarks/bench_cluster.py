@@ -10,7 +10,7 @@ claim on three axes:
    (so the batch itself is served over the freshly broken cluster via
    replica failover), while the health loop restarts the victims
    between batches.  Every request must complete, every answer must
-   equal the single-database reference (no lost results), and every
+   equal the scalar linear-scan reference (no lost results), and every
    query must produce exactly one result (no duplicates from hedged or
    replicated reads).
 2. **Placement-journal crash enumeration** — a fault at (or during)
@@ -37,9 +37,9 @@ import time
 
 from repro.analysis.reporting import results_dir
 from repro.bits import BitVector
-from repro.core import Fingerprint, FingerprintDatabase
+from repro.core import Fingerprint
 from repro.core.distance import DEFAULT_THRESHOLD
-from repro.core.identify import identify_error_string
+from repro.core.identify import linear_identify
 from repro.obs import (
     LEDGER_NAME,
     MetricsRegistry,
@@ -102,9 +102,9 @@ CHAOS_CONFIG = ClusterConfig(
 
 
 def _build_corpus(root, rng):
-    """Build the cluster and the single-database reference oracle."""
+    """Build the cluster; the enrollment entries, in global order, are
+    the reference the scalar Algorithm 2 loop scans."""
     entries = []
-    reference = FingerprintDatabase()
     bits = {}
     for index in range(N_DEVICES):
         key = f"device-{index:05d}"
@@ -112,7 +112,6 @@ def _build_corpus(root, rng):
         bits[key] = vector
         fingerprint = Fingerprint(bits=vector, support=2)
         entries.append((key, fingerprint))
-        reference.add(key, fingerprint)
     build_cluster(
         root,
         entries,
@@ -120,7 +119,7 @@ def _build_corpus(root, rng):
         n_partitions=N_PARTITIONS,
         replication=REPLICATION,
     )
-    return bits, reference
+    return bits, entries
 
 
 def _batch_queries(bits, rng, batch_index):
@@ -168,14 +167,12 @@ def _chaos_axis(root, bits, reference, rng):
             queries, vectors = _batch_queries(bits, rng, batch_index)
             report = service.identify(queries)
             # Zero lost, zero duplicated: exactly one answer per query,
-            # each equal to the single-database oracle.
+            # each equal to the scalar oracle over every device.
             assert not report.degraded, report.degraded
             assert len(report.results) == len(queries)
             completed += len(report.results)
             for vector, result in zip(vectors, report.results):
-                expected = identify_error_string(
-                    vector, reference, DEFAULT_THRESHOLD
-                )
+                expected = linear_identify(vector, reference, DEFAULT_THRESHOLD)
                 if (
                     result.identification.matched != expected.matched
                     or result.identification.key != expected.key
@@ -278,9 +275,7 @@ def _rebalance_axis(root, bits, reference, rng):
         report = service.identify(queries)
         assert not report.degraded
         for vector, result in zip(vectors, report.results):
-            expected = identify_error_string(
-                vector, reference, DEFAULT_THRESHOLD
-            )
+            expected = linear_identify(vector, reference, DEFAULT_THRESHOLD)
             assert result.identification.key == expected.key
     verification = verify_cluster(root)
     assert verification.ok, verification.to_json()

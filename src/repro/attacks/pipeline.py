@@ -30,9 +30,8 @@ from repro.bits import BitVector
 from repro.core.distance import DEFAULT_THRESHOLD
 from repro.core.errors import mark_errors
 from repro.core.fingerprint import Fingerprint
-from repro.core.identify import FingerprintDatabase, identify_error_string
+from repro.core.identify import FingerprintDatabase
 from repro.core.serialize import dump_database, load_database
-from repro.service.indexed import IndexedFingerprintDatabase
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,8 @@ class ProbableCause:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         self._threshold = threshold
         self._suspect_prefix = suspect_prefix
-        # Packed store by default: one vectorized pass scores every
-        # suspect as the population grows.  Any FingerprintDatabase works.
         self._database = (
-            database if database is not None else IndexedFingerprintDatabase()
+            database if database is not None else FingerprintDatabase()
         )
         self._enrolled_keys: set = set()
         self._next_suspect = 0
@@ -131,15 +128,11 @@ class ProbableCause:
     def observe_errors(self, error_string: BitVector) -> Attribution:
         """Like :meth:`observe`, starting from an extracted error string.
 
-        Identification is Algorithm 2 via
-        :func:`~repro.core.identify.identify_error_string`, so an
-        indexed database answers through its packed scan and the error
-        string is never re-marked.
+        Identification is Algorithm 2, one packed scan of the database;
+        the error string is never re-marked.
         """
         self._observations += 1
-        result = identify_error_string(
-            error_string, self._database, self._threshold
-        )
+        result = self._database.identify_error_string(error_string, self._threshold)
         if result.matched:
             self._database.update(
                 result.key,
@@ -175,9 +168,11 @@ class ProbableCause:
         suspect_prefix: str = "suspect",
     ) -> "ProbableCause":
         """Restore a pipeline from a persisted store."""
-        pipeline = cls(threshold=threshold, suspect_prefix=suspect_prefix)
-        for key, fingerprint in load_database(source).items():
-            pipeline._database.add(key, fingerprint)
+        pipeline = cls(
+            threshold=threshold,
+            suspect_prefix=suspect_prefix,
+            database=load_database(source),
+        )
         suspect_numbers = []
         for key in pipeline._database.keys():
             if key.startswith(f"{suspect_prefix}-"):

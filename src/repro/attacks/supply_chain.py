@@ -18,7 +18,6 @@ from repro.core.characterize import characterize_trials
 from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
 from repro.core.identify import FingerprintDatabase, Identification, identify
 from repro.dram.platform import ExperimentPlatform, TrialConditions
-from repro.service.indexed import IndexedFingerprintDatabase
 
 
 @dataclass(frozen=True)
@@ -48,10 +47,8 @@ class SupplyChainAttacker:
         self._threshold = threshold
         self._accuracy = characterization_accuracy
         self._temperatures = tuple(characterization_temperatures)
-        # Interception logs reach nation-state scale; the default store
-        # answers Algorithm 2 with one packed pass instead of a scalar loop.
         self._database = (
-            database if database is not None else IndexedFingerprintDatabase()
+            database if database is not None else FingerprintDatabase()
         )
         self._records: List[InterceptionRecord] = []
 

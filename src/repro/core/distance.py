@@ -188,13 +188,23 @@ class PackedFingerprints:
     def __init__(
         self, entries: Iterable[Tuple[str, Fingerprint]], nbits: int
     ) -> None:
+        """Rows for ``entries``, in order, packed in one pass."""
         self._nbits = nbits
         self._keys: List[str] = []
         self._rows: Dict[str, int] = {}
-        self._matrix = np.zeros((0, (nbits + 63) // 64), dtype=np.uint64)
-        self._weights = np.zeros(0, dtype=np.int64)
+        n_words = (nbits + 63) // 64
+        packed = []
         for key, fingerprint in entries:
-            self.add(key, fingerprint)
+            self._check(key, fingerprint)
+            if key in self._rows:
+                raise ValueError(f"key {key!r} already has a row")
+            self._rows[key] = len(self._keys)
+            self._keys.append(key)
+            packed.append(fingerprint.bits.to_bytes().ljust(n_words * 8, b"\x00"))
+        self._matrix = np.frombuffer(
+            bytearray(b"".join(packed)), dtype=np.uint64
+        ).reshape(len(packed), n_words)
+        self._weights = popcount_words(self._matrix)
 
     @property
     def keys(self) -> List[str]:
@@ -247,6 +257,10 @@ class PackedFingerprints:
         del self._keys[row]
         for shifted in self._keys[row:]:
             self._rows[shifted] -= 1
+
+    def bits(self, key: str) -> BitVector:
+        """A copy of the row of ``key``."""
+        return BitVector(self._nbits, self._matrix[self._rows[key]].copy())
 
     def _check_probe(self, probe: BitVector) -> None:
         if probe.nbits != self._nbits:

@@ -6,19 +6,26 @@ error string is compared against every stored fingerprint with the
 Algorithm 3 distance; the first fingerprint within the threshold wins.
 
 :class:`FingerprintDatabase` is the attacker's store of system-level
-fingerprints.  The paper notes (§4) that a nation-state attacker can
-afford a fingerprint per device, but that storage can be reduced by
-only tracking the ~1 % fast-decaying bits — which is exactly what an
-intersected fingerprint already is.
+fingerprints and answers that query itself, with packed scans sized
+for the §4 attacker's fingerprint per device.  The paper notes that
+storage can be reduced by only tracking the ~1 % fast-decaying bits —
+which is exactly what an intersected fingerprint already is.
+:func:`linear_identify`, the scalar loop, is its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.bits import BitVector
-from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
+from repro.core.distance import (
+    DEFAULT_THRESHOLD,
+    PackedFingerprints,
+    probable_cause_distance,
+)
 from repro.core.errors import mark_errors
 from repro.core.fingerprint import Fingerprint
 
@@ -49,36 +56,61 @@ class Identification:
 
 
 class FingerprintDatabase:
-    """Keyed collection of system-level fingerprints.
+    """Keyed collection of system-level fingerprints, packed for Algorithm 2.
 
     Keys are attacker-chosen identifiers (serial numbers in the
     supply-chain attack, cluster ids in the eavesdropping attack).
     Insertion order is preserved, matching Algorithm 2's "return the
     first fingerprint below threshold" semantics.
+
+    The bits live only as rows of one
+    :class:`~repro.core.distance.PackedFingerprints` matrix, beside each
+    key's ``support`` and ``source``; :meth:`get` and :meth:`items`
+    build :class:`Fingerprint` values on copies of the rows.  The first
+    fingerprint added to an empty database fixes the width: adding or
+    updating one of another width, or probing with one, raises
+    :class:`ValueError`.
     """
 
-    def __init__(self) -> None:
-        self._fingerprints: Dict[str, Fingerprint] = {}
+    def __init__(self, entries: Iterable[Tuple[str, Fingerprint]] = ()) -> None:
+        """An empty database, or one holding ``entries`` in order, packed
+        in one pass (the first entry fixes the width)."""
+        entries = list(entries)
+        self._provenance: Dict[str, Tuple[int, Optional[str]]] = {}
+        for key, fingerprint in entries:
+            self._check_fresh(key)
+            self._provenance[key] = (fingerprint.support, fingerprint.source)
+        nbits = entries[0][1].nbits if entries else 0
+        self._packed = PackedFingerprints(entries, nbits)
+
+    def _check_fresh(self, key: str) -> None:
+        if key in self._provenance:
+            raise DuplicateKeyError(
+                f"fingerprint key {key!r} already present; "
+                "use update() to replace it"
+            )
 
     def add(self, key: str, fingerprint: Fingerprint) -> None:
-        """Store ``fingerprint`` under ``key``; keys must be unique.
+        """Store ``fingerprint`` under ``key`` as the last row; keys must
+        be unique.
 
         Raises :class:`DuplicateKeyError` if ``key`` is already
         present — replacing an existing fingerprint must go through
         :meth:`update` so overwrites are always deliberate.
         """
-        if key in self._fingerprints:
-            raise DuplicateKeyError(
-                f"fingerprint key {key!r} already present; "
-                "use update() to replace it"
-            )
-        self._fingerprints[key] = fingerprint
+        self._check_fresh(key)
+        if not self._provenance:
+            self._packed = PackedFingerprints((), fingerprint.nbits)
+        self._packed.add(key, fingerprint)
+        self._provenance[key] = (fingerprint.support, fingerprint.source)
 
     def update(self, key: str, fingerprint: Fingerprint) -> None:
-        """Replace the fingerprint stored under an existing ``key``."""
-        if key not in self._fingerprints:
+        """Replace the fingerprint stored under an existing ``key``; its
+        row keeps its place."""
+        if key not in self._provenance:
             raise KeyError(f"no fingerprint under key {key!r}")
-        self._fingerprints[key] = fingerprint
+        self._packed.update(key, fingerprint)
+        self._provenance[key] = (fingerprint.support, fingerprint.source)
 
     def remove(self, key: str) -> None:
         """Delete the fingerprint stored under an existing ``key``.
@@ -87,27 +119,88 @@ class FingerprintDatabase:
         in-memory caches must be able to shed the same keys so cached
         and cold reads keep answering identically.
         """
-        if key not in self._fingerprints:
+        if key not in self._provenance:
             raise KeyError(f"no fingerprint under key {key!r}")
-        del self._fingerprints[key]
+        self._packed.remove(key)
+        del self._provenance[key]
 
     def get(self, key: str) -> Fingerprint:
-        """Fingerprint stored under ``key``."""
-        return self._fingerprints[key]
+        """Fingerprint stored under ``key``, on a copy of its row."""
+        support, source = self._provenance[key]
+        return Fingerprint(bits=self._packed.bits(key), support=support, source=source)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._fingerprints
+        return key in self._provenance
 
     def __len__(self) -> int:
-        return len(self._fingerprints)
+        return len(self._provenance)
 
     def items(self) -> Iterator[Tuple[str, Fingerprint]]:
         """Iterate (key, fingerprint) pairs in insertion order."""
-        return iter(self._fingerprints.items())
+        return ((key, self.get(key)) for key in list(self._provenance))
 
     def keys(self) -> List[str]:
         """Stored keys in insertion order."""
-        return list(self._fingerprints)
+        return list(self._provenance)
+
+    def candidate_keys(
+        self, error_string: BitVector, threshold: float = DEFAULT_THRESHOLD
+    ) -> List[str]:
+        """Every key within ``threshold`` of ``error_string``, in
+        insertion order; Algorithm 2's match is the first."""
+        if not self._provenance:
+            return []
+        keys = self._packed.keys
+        distances = self._packed.distances(error_string)
+        return [keys[row] for row in np.flatnonzero(distances < threshold)]
+
+    def identify_error_strings(
+        self,
+        error_strings: Sequence[BitVector],
+        threshold: float = DEFAULT_THRESHOLD,
+    ) -> List[Identification]:
+        """Algorithm 2 for a batch of error strings, in packed kernel calls.
+
+        Each answer is the first stored fingerprint (in insertion order)
+        within ``threshold`` of its error string, with the kernel's
+        distance.  An error string with *no* set bits carries no
+        fingerprint signal — the output never traversed approximate
+        memory (or decayed nothing) — and fails unscored rather than
+        trivially matching every fingerprint through the footnote-2
+        swap rule; every row is scored for the rest.  A probe of another
+        width than the stored rows raises, empty or not.
+        """
+        answers = [Identification.failed()] * len(error_strings)
+        if not self._provenance:
+            return answers
+        for bits in error_strings:
+            if bits.nbits != self._packed.nbits:
+                raise ValueError(
+                    f"probe covers {bits.nbits} bits, "
+                    f"database holds {self._packed.nbits}"
+                )
+        scored = [index for index, bits in enumerate(error_strings) if bits.any()]
+        if not scored:
+            return answers
+        hits = self._packed.first_within(
+            [error_strings[index] for index in scored], threshold
+        )
+        for index, hit in zip(scored, hits):
+            if hit is not None:
+                key, distance = hit
+                answers[index] = Identification(
+                    matched=True, key=key, distance=distance
+                )
+        return answers
+
+    def identify_error_string(
+        self,
+        error_string: BitVector,
+        threshold: float = DEFAULT_THRESHOLD,
+    ) -> Identification:
+        """Algorithm 2 against this database: the one-element case of
+        :meth:`identify_error_strings`."""
+        return self.identify_error_strings([error_string], threshold)[0]
 
 
 def identify_error_string(
@@ -115,31 +208,27 @@ def identify_error_string(
     database: FingerprintDatabase,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> Identification:
-    """Core of Algorithm 2, starting from an already-extracted error string.
+    """Core of Algorithm 2, starting from an already-extracted error
+    string: :meth:`FingerprintDatabase.identify_error_string`."""
+    return database.identify_error_string(error_string, threshold)
 
-    Returns the first database entry whose distance is below
-    ``threshold``, or :meth:`Identification.failed` when none is.
 
-    An error string with *no* set bits carries no fingerprint signal —
-    the output never traversed approximate memory (or decayed nothing)
-    — and identification fails rather than trivially matching every
-    fingerprint through the footnote-2 swap rule.
+def linear_identify(
+    error_string: BitVector,
+    entries: Iterable[Tuple[str, Fingerprint]],
+    threshold: float = DEFAULT_THRESHOLD,
+) -> Identification:
+    """Algorithm 2 as written: the first of ``entries`` whose scalar
+    :func:`probable_cause_distance` is below ``threshold``.
 
-    Databases that implement their own ``identify_error_string`` method
-    (e.g. :class:`repro.service.IndexedFingerprintDatabase`, which
-    answers with one packed scan) are delegated to, so
-    callers holding a prebuilt error string always get the fastest
-    available path without recomputing :func:`mark_errors`.
+    The reference the packed database is tested against; an empty
+    error string fails unscored, as it does there.
     """
-    specialized = getattr(database, "identify_error_string", None)
-    if specialized is not None:
-        return specialized(error_string, threshold)
-    if not error_string.any():
-        return Identification.failed()
-    for key, fingerprint in database.items():
-        distance = probable_cause_distance(error_string, fingerprint)
-        if distance < threshold:
-            return Identification(matched=True, key=key, distance=distance)
+    if error_string.any():
+        for key, fingerprint in entries:
+            distance = probable_cause_distance(error_string, fingerprint)
+            if distance < threshold:
+                return Identification(matched=True, key=key, distance=distance)
     return Identification.failed()
 
 

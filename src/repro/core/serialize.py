@@ -45,7 +45,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -222,11 +222,12 @@ def _read_frame(
 
 
 def dump_database(
-    database: FingerprintDatabase,
+    database: Union[FingerprintDatabase, Sequence[Tuple[str, Fingerprint]]],
     destination: Union[str, Path, BinaryIO],
     version: int = DEFAULT_VERSION,
 ) -> None:
-    """Write a fingerprint database to a path or binary stream.
+    """Write a fingerprint database, or its ``(key, fingerprint)``
+    entries in order, to a path or binary stream.
 
     ``version`` selects the wire format: 2 (default) writes checksummed
     frames plus a footer digest, 1 the legacy unframed layout.
@@ -240,14 +241,17 @@ def dump_database(
         with open(destination, "wb") as stream:
             dump_database(database, stream, version=version)
         return
+    entries = (
+        database.items() if isinstance(database, FingerprintDatabase) else database
+    )
     destination.write(_MAGIC)
     destination.write(struct.pack("<HI", version, len(database)))
     if version == VERSION_1:
-        for key, fingerprint in database.items():
+        for key, fingerprint in entries:
             _write_fingerprint(destination, key, fingerprint)
         return
     digest = 0
-    for key, fingerprint in database.items():
+    for key, fingerprint in entries:
         frame, crc = _frame_bytes(key, fingerprint)
         destination.write(frame)
         digest = zlib.crc32(struct.pack("<I", crc), digest)
@@ -266,7 +270,16 @@ def _read_header(source: BinaryIO) -> Tuple[int, int]:
 def load_database(
     source: Union[str, Path, BinaryIO]
 ) -> FingerprintDatabase:
-    """Read a fingerprint database from a path or binary stream.
+    """Read a fingerprint database from a path or binary stream: the
+    :func:`load_entries`, packed in one pass."""
+    return FingerprintDatabase(load_entries(source))
+
+
+def load_entries(
+    source: Union[str, Path, BinaryIO]
+) -> List[Tuple[str, Fingerprint]]:
+    """Read a fingerprint database's ``(key, fingerprint)`` records, in
+    order, from a path or binary stream.
 
     Strict: any damage — truncation, a checksum mismatch, a bad footer
     — raises :class:`CorruptStreamError` (v2) or
@@ -275,14 +288,11 @@ def load_database(
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            return load_database(stream)
+            return load_entries(stream)
     version, count = _read_header(source)
-    database = FingerprintDatabase()
     if version == VERSION_1:
-        for _ in range(count):
-            key, fingerprint = _read_fingerprint(source)
-            database.add(key, fingerprint)
-        return database
+        return [_read_fingerprint(source) for _ in range(count)]
+    entries = []
     digest = 0
     for record_index in range(count):
         offset = source.tell()
@@ -295,7 +305,7 @@ def load_database(
                 str(error), byte_offset=offset, record_index=record_index
             ) from error
         digest = zlib.crc32(struct.pack("<I", crc), digest)
-        database.add(key, fingerprint)
+        entries.append((key, fingerprint))
     footer_offset = source.tell()
     try:
         footer = _read_exact(source, 8)
@@ -312,7 +322,7 @@ def load_database(
         raise CorruptStreamError(
             "footer digest mismatch", byte_offset=footer_offset
         )
-    return database
+    return entries
 
 
 def scan_database(source: Union[str, Path, BinaryIO]) -> DatabaseScan:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core import identify
+from repro.core import FingerprintDatabase, identify, probable_cause_distance
 from repro.experiments.base import ExperimentReport, register
 from repro.experiments.campaign import build_campaign
 
@@ -26,14 +26,13 @@ def run(populations: Tuple[int, ...] = (5, 10, 20, 40)) -> ExperimentReport:
     which is exactly how an attacker's database grows.
     """
     full = build_campaign(n_chips=max(populations))
+    fingerprints = dict(full.database.items())
     rows = []
     metrics = {}
-    from repro.core import probable_cause_distance
-
     for size in populations:
         keys = full.database.keys()[:size]
         labels = set(keys)
-        sub_database = _sub_database(full.database, keys)
+        sub_database = FingerprintDatabase((key, fingerprints[key]) for key in keys)
         within, between = [], []
         correct = total = 0
         for true_label, trial in full.outputs:
@@ -42,9 +41,7 @@ def run(populations: Tuple[int, ...] = (5, 10, 20, 40)) -> ExperimentReport:
             total += 1
             errors = trial.error_string
             for key in keys:
-                distance = probable_cause_distance(
-                    errors, full.database.get(key)
-                )
+                distance = probable_cause_distance(errors, fingerprints[key])
                 (within if key == true_label else between).append(distance)
             result = identify(trial.approx, trial.exact, sub_database)
             correct += result.matched and result.key == true_label
@@ -72,15 +69,6 @@ def run(populations: Tuple[int, ...] = (5, 10, 20, 40)) -> ExperimentReport:
         text=text,
         metrics=metrics,
     )
-
-
-def _sub_database(database, keys):
-    from repro.core import FingerprintDatabase
-
-    sub = FingerprintDatabase()
-    for key in keys:
-        sub.add(key, database.get(key))
-    return sub
 
 
 @register("ext-population")

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import Fingerprint
-from repro.core.identify import FingerprintDatabase
 from repro.core.serialize import dump_database
 from repro.obs.trace import span as obs_span
 from repro.reliability.bloom import append_trailer, build_filter
@@ -313,9 +312,8 @@ class Compactor:
         rows: List[Tuple[int, str, Fingerprint]] = []
         for record in plan.sources:
             bytes_before += store.segment_path(record).stat().st_size
-            database = store.read_segment(record)
             for sequence, (key, fingerprint) in zip(
-                record.sequences(), database.items()
+                record.sequences(), store.read_segment(record)
             ):
                 rows.append((sequence, key, fingerprint))
         rows.sort(key=lambda row: row[0])
@@ -340,12 +338,12 @@ class Compactor:
         output: Optional[SegmentRecord] = None
         data: Optional[bytes] = None
         if kept:
-            merged = FingerprintDatabase()
-            for _sequence, key, fingerprint in kept:
-                merged.add(key, fingerprint)
+            entries = [(key, fingerprint) for _sequence, key, fingerprint in kept]
             buffer = io.BytesIO()
-            dump_database(merged, buffer)
-            data = append_trailer(buffer.getvalue(), build_filter(merged.keys()))
+            dump_database(entries, buffer)
+            data = append_trailer(
+                buffer.getvalue(), build_filter([key for key, _fp in entries])
+            )
             runs = coalesce_runs(
                 (sequence, 1) for sequence, _key, _fp in kept
             )

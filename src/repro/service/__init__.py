@@ -9,14 +9,12 @@ that makes them answer at that scale:
 
 * :mod:`repro.service.metrics` — counters and latency histograms so
   every stage of the service is observable;
-* :mod:`repro.service.indexed` — :class:`IndexedFingerprintDatabase`,
-  a drop-in :class:`~repro.core.identify.FingerprintDatabase` that
-  answers Algorithm-2 queries with one packed AND + popcount pass
-  over every stored fingerprint instead of a scalar loop;
 * :mod:`repro.service.store` — a persistent, sharded, append-only
-  fingerprint store layered on :mod:`repro.core.serialize`: journaled
-  crash-safe ingest, idempotent recovery, checksummed v2 segments,
-  quarantine bookkeeping, lazy per-shard loading;
+  fingerprint store layered on :mod:`repro.core.serialize`: crash-safe
+  ingest committed by one manifest rename, idempotent recovery,
+  checksummed v2 segments, quarantine bookkeeping, and lazy per-shard
+  loading into :class:`~repro.core.identify.FingerprintDatabase`
+  replicas, each scored with one packed AND + popcount pass;
 * :mod:`repro.service.fanout` — the one shard fan-out engine under
   the batch and cluster services: vectorized marking, per-round
   deadlines, hedging, failover, breakers, the first-match merge and
@@ -52,7 +50,6 @@ from repro.service.batch import (
     QueryResult,
 )
 from repro.service.fanout import SCHEMA_VERSION, DegradedShard, merge_degraded
-from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.store import (
     QuarantinedSegment,
@@ -121,7 +118,6 @@ __all__ = [
     "PlacementMap",
     "PlacementStore",
     "QueryResult",
-    "IndexedFingerprintDatabase",
     "LatencyHistogram",
     "QuarantinedSegment",
     "QuarantineEntry",

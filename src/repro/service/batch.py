@@ -48,8 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import BitVector
 from repro.core.cluster import OnlineClusterer
-from repro.core.distance import DEFAULT_THRESHOLD, probable_cause_distance
-from repro.core.identify import Identification
+from repro.core.distance import DEFAULT_THRESHOLD
+from repro.core.fingerprint import Fingerprint
+from repro.core.identify import Identification, linear_identify
 from repro.obs.trace import span as obs_span
 from repro.reliability.breaker import BreakerBoard
 from repro.service.fanout import (
@@ -350,27 +351,22 @@ class BatchIdentificationService:
 
 def verify_against_linear(
     service_results: Sequence[QueryResult],
-    database_items: Sequence[Tuple[str, "object"]],
+    database_items: Sequence[Tuple[str, Fingerprint]],
     error_strings: Sequence[BitVector],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> int:
     """Count disagreements between service results and a linear scan.
 
     Debug/validation helper used by tests and the benchmark: replays
-    each query with the plain Algorithm 2 loop over ``database_items``
-    (in order) and compares the match/no-match decision and matched
-    key.  Returns the number of disagreeing queries (0 means the index
-    is exact on this workload).
+    each query with :func:`~repro.core.identify.linear_identify`, the
+    scalar Algorithm 2 loop over ``database_items`` (in order), and
+    compares the match/no-match decision and matched key.  Returns the
+    number of disagreeing queries (0 means the service is exact on this
+    workload).
     """
     disagreements = 0
     for result, error_string in zip(service_results, error_strings):
-        expected_key = None
-        if error_string.any():
-            for key, fingerprint in database_items:
-                if probable_cause_distance(error_string, fingerprint) < threshold:
-                    expected_key = key
-                    break
-        actual_key = result.identification.key if result.matched else None
-        if expected_key != actual_key:
+        expected = linear_identify(error_string, database_items, threshold)
+        if expected.key != result.identification.key:
             disagreements += 1
     return disagreements

@@ -38,7 +38,7 @@ from typing import (
 
 from repro.bits import BitVector
 from repro.core.errors import mark_errors_batch
-from repro.core.identify import Identification
+from repro.core.identify import FingerprintDatabase, Identification
 from repro.obs.trace import span as obs_span
 from repro.reliability.breaker import BreakerBoard
 from repro.service.metrics import ServiceMetrics
@@ -46,7 +46,6 @@ from repro.service.store import ShardedFingerprintStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.batch import BatchQuery
-    from repro.service.indexed import IndexedFingerprintDatabase
     from repro.service.rpc import WorkerHandle
 
 #: Version stamped into every serialized report and checkpoint payload
@@ -188,20 +187,60 @@ def mark_queries(queries: Sequence["BatchQuery"]) -> List[BitVector]:
 
 
 def scan_replica(
-    database: "IndexedFingerprintDatabase",
+    database: FingerprintDatabase,
     sequences: Mapping[str, int],
     error_strings: Sequence[BitVector],
     threshold: float,
+    metrics: Optional[ServiceMetrics] = None,
 ) -> List[Answer]:
     """Earliest in-replica match per query, tagged with its global
     sequence (``sequences`` maps key → global enrollment sequence); the
-    whole batch is scored in one :meth:`identify_error_strings` call."""
+    whole batch is scored in one :meth:`identify_error_strings` call.
+
+    ``metrics``, when given, counts ``index.queries`` and
+    ``index.empty_queries``, the row × query pairs scored as
+    ``index.pairs_considered`` and ``index.verifications``,
+    ``index.matches`` and ``index.misses``, and times the scoring as
+    ``identify.indexed``.
+    """
+    if metrics is None:
+        identifications = database.identify_error_strings(error_strings, threshold)
+    else:
+        identifications = _counted_scan(database, error_strings, threshold, metrics)
     return [
         (sequences[identification.key], identification)  # type: ignore[index]
         if identification.matched
         else None
-        for identification in database.identify_error_strings(error_strings, threshold)
+        for identification in identifications
     ]
+
+
+def _counted_scan(
+    database: FingerprintDatabase,
+    error_strings: Sequence[BitVector],
+    threshold: float,
+    metrics: ServiceMetrics,
+) -> List[Identification]:
+    """:meth:`identify_error_strings`, counted as :func:`scan_replica` says."""
+    queries = len(error_strings)
+    scored = sum(1 for bits in error_strings if bits.any())
+    if queries:
+        metrics.count("index.queries", queries)
+    if scored < queries:
+        metrics.count("index.empty_queries", queries - scored)
+    if not scored:
+        return database.identify_error_strings(error_strings, threshold)
+    pairs = len(database) * scored
+    metrics.count("index.pairs_considered", pairs)
+    with metrics.time("identify.indexed"):
+        identifications = database.identify_error_strings(error_strings, threshold)
+    metrics.count("index.verifications", pairs)
+    matches = sum(1 for identification in identifications if identification.matched)
+    if matches < scored:
+        metrics.count("index.misses", scored - matches)
+    if matches:
+        metrics.count("index.matches", matches)
+    return identifications
 
 
 class Failure(NamedTuple):
@@ -357,7 +396,8 @@ class LocalTransport:
 
     A replica is a shard number (also its breaker key), one per shard.
     A failing load or scan is evicted and retried in place with
-    exponential backoff before the request fails.
+    exponential backoff before the request fails.  Scans count their
+    ``index.*`` work into the store's metrics, beside its shard loads.
     """
 
     prefix = "batch"
@@ -406,7 +446,11 @@ class LocalTransport:
                 with obs_span("batch.shard_scan", shard=shard, attempt=attempt):
                     loaded = self._store.load_shard(shard)
                     return scan_replica(
-                        loaded.database, loaded.sequences, queries, self._threshold  # type: ignore[arg-type]
+                        loaded.database,
+                        loaded.sequences,
+                        queries,  # type: ignore[arg-type]
+                        self._threshold,
+                        self._store.metrics,
                     )
             except Exception:
                 # Drop any half-built replica so the retry reloads.

@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import BitVector
+from repro.core.identify import FingerprintDatabase
 from repro.reliability.durable import json_bytes, publish
 from repro.reliability.faults import StorageIO
 from repro.service.fanout import merge_first_match, scan_replica
-from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.store import ShardedFingerprintStore
 
 #: Sidecar file in every partition directory: key → global sequence.
@@ -106,7 +106,7 @@ def read_sequence_map(
 
 def open_replica(
     directory: Path, storage_io: Optional[StorageIO] = None
-) -> Tuple[IndexedFingerprintDatabase, Dict[str, int]]:
+) -> Tuple[FingerprintDatabase, Dict[str, int]]:
     """One partition replica: its database and key → global sequence."""
     store = ShardedFingerprintStore(directory, n_shards=1, storage_io=storage_io)
     return store.load_shard(0).database, read_sequence_map(directory, storage_io)
@@ -152,10 +152,10 @@ def worker_main(
     """
     root_path = Path(root)
     assigned = set(int(partition) for partition in partitions)
-    replicas: Dict[int, Tuple[IndexedFingerprintDatabase, Dict[str, int]]] = {}
+    replicas: Dict[int, Tuple[FingerprintDatabase, Dict[str, int]]] = {}
     served = 0
 
-    def replica(partition: int) -> Tuple[IndexedFingerprintDatabase, Dict[str, int]]:
+    def replica(partition: int) -> Tuple[FingerprintDatabase, Dict[str, int]]:
         if partition not in replicas:
             replicas[partition] = open_replica(
                 partition_dir(root_path, worker_id, partition)

@@ -41,9 +41,11 @@ All filesystem traffic goes through a
 :class:`repro.reliability.faults.StorageIO` seam so the chaos tests can
 enumerate crash points deterministically.
 
-Shards load lazily into :class:`IndexedFingerprintDatabase` replicas
-and are cached; :class:`~repro.service.metrics.ServiceMetrics` counts
-loads, cache hits, recoveries and quarantines.
+Shards load lazily into :class:`~repro.core.identify.FingerprintDatabase`
+replicas — one packed matrix per shard, built in one pass over its
+segments' records — and are cached;
+:class:`~repro.service.metrics.ServiceMetrics` counts loads, cache
+hits, recoveries and quarantines.
 
 Two scale features ride on top of the append-only core:
 
@@ -74,7 +76,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.core.fingerprint import Fingerprint
 from repro.core.identify import FingerprintDatabase
-from repro.core.serialize import dump_database, load_database
+from repro.core.serialize import dump_database, load_entries
 from repro.obs.trace import span as obs_span
 from repro.reliability.bloom import (
     BloomFilter,
@@ -93,7 +95,6 @@ from repro.reliability.durable import (
     temporary,
 )
 from repro.reliability.faults import StorageIO
-from repro.service.indexed import IndexedFingerprintDatabase
 from repro.service.metrics import ServiceMetrics
 
 _MANIFEST_NAME = "manifest.json"
@@ -299,12 +300,12 @@ def load_manifest(root: Path, storage_io: Optional[StorageIO] = None) -> Manifes
 class LoadedShard:
     """An in-memory replica of one shard.
 
-    ``database`` preserves the shard's ingest order (so its indexed
+    ``database`` preserves the shard's ingest order (so its packed
     identification returns the shard's earliest match), ``sequences``
     maps each key to its global sequence for the cross-shard merge.
     """
 
-    database: IndexedFingerprintDatabase
+    database: FingerprintDatabase
     sequences: Dict[str, int]
 
 
@@ -600,13 +601,11 @@ class ShardedFingerprintStore:
         for shard in sorted(per_shard):
             rows = per_shard[shard]
             filename = self.next_segment_filename(shard)
-            segment_db = FingerprintDatabase()
-            for _sequence, key, fingerprint in rows:
-                segment_db.add(key, fingerprint)
+            entries = [(key, fingerprint) for _sequence, key, fingerprint in rows]
             buffer = io.BytesIO()
-            dump_database(segment_db, buffer)
+            dump_database(entries, buffer)
             data = append_trailer(
-                buffer.getvalue(), build_filter(segment_db.keys())
+                buffer.getvalue(), build_filter([key for key, _fp in entries])
             )
             planned.append(
                 (
@@ -786,10 +785,10 @@ class ShardedFingerprintStore:
         if not path.exists():
             return False
         try:
-            database = self.read_segment(record)
+            entries = self.read_segment(record)
         except (OSError, ValueError):
             return False
-        return len(database) == record.count
+        return len(entries) == record.count
 
     # ------------------------------------------------------------------
     # Point lookups and tombstones
@@ -831,20 +830,18 @@ class ShardedFingerprintStore:
                 continue
             scanned += 1
             self._metrics.count("store.bloom_segment_loads")
-            segment_db = self.read_segment(segment)
-            if key in segment_db:
-                for sequence, stored_key in zip(
-                    segment.sequences(), segment_db.keys()
-                ):
-                    if stored_key == key:
-                        return StoreLookup(
-                            key=key,
-                            fingerprint=segment_db.get(key),
-                            sequence=sequence,
-                            segments_scanned=scanned,
-                            segments_skipped=skipped,
-                        )
-            elif bloom is not None:
+            for sequence, (stored_key, fingerprint) in zip(
+                segment.sequences(), self.read_segment(segment)
+            ):
+                if stored_key == key:
+                    return StoreLookup(
+                        key=key,
+                        fingerprint=fingerprint,
+                        sequence=sequence,
+                        segments_scanned=scanned,
+                        segments_skipped=skipped,
+                    )
+            if bloom is not None:
                 self._metrics.count("store.bloom_false_positives")
         return None
 
@@ -1095,11 +1092,11 @@ class ShardedFingerprintStore:
     # Reading
     # ------------------------------------------------------------------
 
-    def read_segment(self, record: SegmentRecord) -> FingerprintDatabase:
-        """Strictly load one segment through the IO seam (also
-        compaction's merge input)."""
+    def read_segment(self, record: SegmentRecord) -> List[Tuple[str, Fingerprint]]:
+        """Strictly load one segment's ``(key, fingerprint)`` records
+        through the IO seam (also compaction's merge input)."""
         data = self._io.read_bytes(self._root / record.filename)
-        return load_database(io.BytesIO(data))
+        return load_entries(io.BytesIO(data))
 
     def segment_path(self, record: SegmentRecord) -> Path:
         """On-disk location of a segment file."""
@@ -1150,7 +1147,7 @@ class ShardedFingerprintStore:
                 if not candidates:
                     self._metrics.count("store.bloom_segment_skips")
                     continue
-                stored = set(self.read_segment(segment).keys())
+                stored = {key for key, _fp in self.read_segment(segment)}
                 clashes.update(key for key in candidates if key in stored)
         return clashes
 
@@ -1174,28 +1171,29 @@ class ShardedFingerprintStore:
         with self._metrics.time("store.shard_load"), obs_span(
             "store.shard_load", shard=shard
         ):
-            database = IndexedFingerprintDatabase(metrics=self._metrics)
+            entries: List[Tuple[str, Fingerprint]] = []
             sequences: Dict[str, int] = {}
             shard_segments = sorted(
                 (s for s in self._segments if s.shard == shard),
                 key=lambda record: record.start_sequence,
             )
             for segment in shard_segments:
-                segment_db = self.read_segment(segment)
-                if len(segment_db) != segment.count:
+                segment_entries = self.read_segment(segment)
+                if len(segment_entries) != segment.count:
                     raise StoreError(
-                        f"segment {segment.filename} holds {len(segment_db)} "
+                        f"segment {segment.filename} holds {len(segment_entries)} "
                         f"records, manifest says {segment.count}"
                     )
                 for sequence, (key, fingerprint) in zip(
-                    segment.sequences(), segment_db.items()
+                    segment.sequences(), segment_entries
                 ):
                     if key in self._tombstones:
                         # Deleted but not yet compacted away: the replica
                         # must answer as if the record were gone.
                         continue
-                    database.add(key, fingerprint)
+                    entries.append((key, fingerprint))
                     sequences[key] = sequence
+            database = FingerprintDatabase(entries)
         replica = LoadedShard(database=database, sequences=sequences)
         self._cache[shard] = replica
         return replica

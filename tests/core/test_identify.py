@@ -41,7 +41,7 @@ class TestDatabase:
             database.add("a", Fingerprint(bits=BitVector.zeros(64)))
         with pytest.raises(DuplicateKeyError):
             database.add("a", original)
-        assert database.get("a") is original  # store untouched by the attempts
+        assert database.get("a") == original  # store untouched by the attempts
 
     def test_update_requires_existing_key(self):
         database = db_with(a=[1])
@@ -49,6 +49,64 @@ class TestDatabase:
         assert list(database.get("a").bits.to_indices()) == [5]
         with pytest.raises(KeyError):
             database.update("zz", Fingerprint(bits=BitVector.zeros(64)))
+
+
+class TestWidth:
+    """The first fingerprint fixes the database's width."""
+
+    @pytest.mark.parametrize("operation", ["add", "update"])
+    def test_other_width_raises_naming_the_key_and_changes_nothing(self, operation):
+        database = db_with(a=[1], b=[2, 3])
+        before = (len(database), database.keys(), list(database.items()))
+        key = "new" if operation == "add" else "a"
+        with pytest.raises(ValueError, match=repr(key)):
+            getattr(database, operation)(
+                key, Fingerprint(bits=BitVector.from_indices(128, [1]))
+            )
+        assert (len(database), database.keys(), list(database.items())) == before
+
+    def test_emptied_database_takes_a_new_width(self):
+        database = db_with(a=[1])
+        database.remove("a")
+        database.add("b", Fingerprint(bits=BitVector.from_indices(128, [100])))
+        probe = BitVector.from_indices(128, [100])
+        assert identify_error_string(probe, database).key == "b"
+
+    @pytest.mark.parametrize("indices", [[1, 2], []])
+    def test_probe_of_other_width_raises(self, indices):
+        """Empty probes fail unscored, but not before the width check."""
+        database = db_with(a=[1, 2])
+        with pytest.raises(ValueError, match="128 bits"):
+            identify_error_string(BitVector.from_indices(128, indices), database)
+
+
+def test_returned_vectors_are_copies_of_the_rows():
+    """``BitVector`` is mutable: editing what ``get`` or ``items``
+    returned, or what was added, leaves the stored row as it was."""
+    added = BitVector.from_indices(64, [1, 2])
+    database = FingerprintDatabase()
+    database.add("a", Fingerprint(bits=added))
+    added.set(40)
+    database.get("a").bits.set(41)
+    for _key, fingerprint in database.items():
+        fingerprint.bits.set(42)
+    assert list(database.get("a").bits.to_indices()) == [1, 2]
+    assert identify_error_string(BitVector.from_indices(64, [1, 2]), database).matched
+
+
+def test_built_from_entries_equals_added_one_by_one():
+    entries = [
+        (key, Fingerprint(bits=BitVector.from_indices(64, [i]), support=i + 1))
+        for i, key in enumerate("cab")
+    ]
+    built = FingerprintDatabase(entries)
+    assert list(built.items()) == entries
+    assert built.keys() == ["c", "a", "b"]
+    assert identify_error_string(BitVector.from_indices(64, [1]), built).key == "a"
+    with pytest.raises(DuplicateKeyError, match="'a'"):
+        FingerprintDatabase(entries + entries[1:2])
+    with pytest.raises(ValueError, match="'w'"):
+        FingerprintDatabase(entries + [("w", Fingerprint(bits=BitVector.zeros(128)))])
 
 
 class TestIdentifyErrorString:

@@ -60,9 +60,8 @@ def oracle(root):
     store = ShardedFingerprintStore(root)
     table = {}
     for record in sorted(store.segments, key=lambda r: r.start_sequence):
-        database = store.read_segment(record)
         for sequence, (key, fingerprint) in zip(
-            record.sequences(), database.items()
+            record.sequences(), store.read_segment(record)
         ):
             if key in store.tombstones:
                 continue
@@ -73,9 +72,9 @@ def oracle(root):
 
 def rewrite_as_v1(store, record):
     """Regress one live segment to the legacy v1 wire format."""
-    database = store.read_segment(record)
+    entries = store.read_segment(record)
     buffer = io.BytesIO()
-    dump_database(database, buffer, version=VERSION_1)
+    dump_database(entries, buffer, version=VERSION_1)
     (store.root / record.filename).write_bytes(buffer.getvalue())
     store.evict()
 

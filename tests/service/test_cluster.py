@@ -1,7 +1,8 @@
 """Tests for the clustered identification service.
 
-The contracts: cluster answers are identical to a single-database
-reference (first-enrolled-wins across partitions included), a
+The contracts: cluster answers are identical to the scalar Algorithm 2
+loop over every enrolled fingerprint (first-enrolled-wins across
+partitions included), a
 SIGKILLed worker's partitions fail over to surviving replicas with no
 lost or duplicated results, health checking restarts dead workers with
 seeded jitter, rebalancing copies replicas and commits through the
@@ -14,8 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bits import BitVector
-from repro.core import Fingerprint, FingerprintDatabase
-from repro.core.identify import Identification, identify_error_string
+from repro.core import Fingerprint
+from repro.core.identify import Identification, linear_identify
 from repro.service import (
     BatchQuery,
     ClusterConfig,
@@ -46,14 +47,13 @@ TEST_CONFIG = ClusterConfig(
 
 @pytest.fixture
 def corpus(rng):
-    """Enrollment entries plus the reference database, in global order.
+    """Enrollment entries, in global order, and each key's bits.
 
     Device 9 is enrolled with device 3's exact bits, so any query for
     those bits has two cross-partition candidates and only the
     first-enrolled (device 3) answer is correct.
     """
     entries = []
-    reference = FingerprintDatabase()
     bits = {}
     for index in range(N_DEVICES):
         key = f"device-{index:03d}"
@@ -64,13 +64,12 @@ def corpus(rng):
         bits[key] = vector
         fingerprint = Fingerprint(bits=vector, support=3)
         entries.append((key, fingerprint))
-        reference.add(key, fingerprint)
-    return entries, reference, bits
+    return entries, bits
 
 
 @pytest.fixture
 def cluster_root(tmp_path, corpus):
-    entries, _reference, _bits = corpus
+    entries, _bits = corpus
     root = tmp_path / "cluster"
     build_cluster(root, entries, n_workers=3, n_partitions=4, replication=2)
     return root
@@ -148,20 +147,20 @@ class TestBuildCluster:
 
 class TestClusterIdentify:
     def test_matches_the_reference_database(self, cluster_root, corpus):
-        _entries, reference, bits = corpus
+        entries, bits = corpus
         keys = sorted(bits)[:8]
         with ClusterService(cluster_root, TEST_CONFIG) as service:
             report = service.identify(hit_queries(bits, keys))
         assert not report.degraded
         for key, result in zip(keys, report.results):
-            expected = identify_error_string(bits[key], reference, 0.1)
+            expected = linear_identify(bits[key], entries, 0.1)
             assert result.identification.matched == expected.matched
             assert result.identification.key == expected.key
 
     def test_first_enrolled_wins_across_partitions(self, cluster_root, corpus):
         """Device 9 duplicates device 3's bits; Algorithm 2's
         first-enrolled-wins priority must survive partitioning."""
-        _entries, _reference, bits = corpus
+        _entries, bits = corpus
         with ClusterService(cluster_root, TEST_CONFIG) as service:
             report = service.identify(hit_queries(bits, ["device-003"]))
         assert report.results[0].identification.key == "device-003"
@@ -181,7 +180,7 @@ class TestClusterIdentify:
     def test_failover_after_sigkill(self, cluster_root, corpus):
         """With R=2, SIGKILLing one worker mid-service loses nothing:
         every query still completes via the surviving replicas."""
-        _entries, reference, bits = corpus
+        entries, bits = corpus
         keys = sorted(bits)
         with ClusterService(cluster_root, TEST_CONFIG) as service:
             victim = service.placement.workers[0]
@@ -190,7 +189,7 @@ class TestClusterIdentify:
             assert not report.degraded
             assert len(report.results) == len(keys)
             for key, result in zip(keys, report.results):
-                expected = identify_error_string(bits[key], reference, 0.1)
+                expected = linear_identify(bits[key], entries, 0.1)
                 assert result.identification.key == expected.key
             # Failover is either implicit (the dead worker is already
             # skipped as not-alive) or explicit (a round-0 request
@@ -200,7 +199,7 @@ class TestClusterIdentify:
 
 class TestHealthAndRestart:
     def test_health_notes_death_and_restarts(self, cluster_root, corpus):
-        _entries, _reference, bits = corpus
+        _entries, bits = corpus
         with ClusterService(cluster_root, TEST_CONFIG) as service:
             victim = service.placement.workers[1]
             service.worker_handle(victim).kill()
@@ -241,7 +240,7 @@ class TestRebalance:
     def test_add_worker_copies_replicas_and_bumps_version(
         self, cluster_root, corpus
     ):
-        _entries, reference, bits = corpus
+        entries, bits = corpus
         with ClusterService(cluster_root, TEST_CONFIG) as service:
             before = service.placement
             after = service.rebalance(add=["worker-003"])
@@ -251,7 +250,7 @@ class TestRebalance:
             report = service.identify(hit_queries(bits, keys))
             assert not report.degraded
             for key, result in zip(keys, report.results):
-                expected = identify_error_string(bits[key], reference, 0.1)
+                expected = linear_identify(bits[key], entries, 0.1)
                 assert result.identification.key == expected.key
         verification = verify_cluster(cluster_root)
         assert verification.ok, verification.to_json()
@@ -352,7 +351,7 @@ class TestStreamEngineContract:
 
         from repro.service import StreamingIdentificationService
 
-        _entries, reference, bits = corpus
+        entries, bits = corpus
         keys = sorted(bits)[:10]
         obs = tmp_path / "obs.jsonl"
         obs.write_text(
@@ -383,5 +382,5 @@ class TestStreamEngineContract:
         assert report.matched == sum(
             1
             for key in keys
-            if identify_error_string(bits[key], reference, 0.1).matched
+            if linear_identify(bits[key], entries, 0.1).matched
         )

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.bits import BitVector
-from repro.core import Fingerprint
+from repro.core import Fingerprint, FingerprintDatabase
 from repro.core import distance as distance_module
 from repro.reliability import StorageIO
 from repro.reliability.breaker import BreakerBoard
@@ -28,7 +28,6 @@ from repro.service import (
     BatchIdentificationService,
     BatchQuery,
     DegradedShard,
-    IndexedFingerprintDatabase,
     QueryResult,
     ServiceMetrics,
     ShardedFingerprintStore,
@@ -57,7 +56,7 @@ class FakeTransport:
     def __init__(
         self,
         behaviour: Dict[str, str],
-        partitions: Dict[int, Tuple[IndexedFingerprintDatabase, Dict[str, int]]],
+        partitions: Dict[int, Tuple[FingerprintDatabase, Dict[str, int]]],
         release: threading.Event,
     ) -> None:
         self.metrics = ServiceMetrics()
@@ -141,7 +140,7 @@ def build(n_partitions: int, n_devices: int, seed: int):
     placement = [int(rng.integers(0, n_partitions)) for _ in items]
     partitions = {}
     for partition in range(n_partitions):
-        database = IndexedFingerprintDatabase()
+        database = FingerprintDatabase()
         sequences = {}
         for sequence, ((key, fingerprint), home) in enumerate(zip(items, placement)):
             if home == partition:
@@ -279,7 +278,7 @@ def test_scan_replica_makes_one_kernel_call_per_chunk(monkeypatch, n_rows, nbits
     its rows as the word budget allows: one for a small shard, one per
     non-empty query past the budget; the answers are the per-query ones."""
     rng = np.random.default_rng(n_rows)
-    database = IndexedFingerprintDatabase()
+    database = FingerprintDatabase()
     sequences = {}
     for index in range(n_rows):
         key = f"dev-{index:03d}"
@@ -311,3 +310,70 @@ def test_scan_replica_makes_one_kernel_call_per_chunk(monkeypatch, n_rows, nbits
     scored = len(queries) - 1
     per_call = max(1, distance_module.PROBE_BATCH_WORDS // (row_words[0] * row_words[1]))
     assert len(kernel_calls) == -(-scored // per_call)
+
+
+def _counted_corpus(n_rows: int, rng):
+    database = FingerprintDatabase()
+    sequences = {}
+    for index in range(n_rows):
+        key = f"dev-{index:03d}"
+        database.add(key, Fingerprint(bits=BitVector.random(NBITS, rng, 0.05)))
+        sequences[key] = index
+    return database, sequences
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 30])
+def test_scan_replica_counts_a_batch_as_its_queries_one_by_one(n_rows):
+    """The ``index.*`` counters move once per batch, by the totals one
+    scan per query would add: empty queries fail unscored, every row is
+    verified for the rest, and matches plus misses cover them."""
+    rng = np.random.default_rng(n_rows)
+    database, sequences = _counted_corpus(n_rows, rng)
+    queries = [fingerprint.bits for _key, fingerprint in database.items()]
+    queries += [BitVector.random(NBITS, rng, 0.05) for _ in range(4)]
+    queries += [BitVector.zeros(NBITS)]
+    batched, single = ServiceMetrics(), ServiceMetrics()
+    answers = scan_replica(database, sequences, queries, THRESHOLD, batched)
+    assert answers == [
+        scan_replica(database, sequences, [query], THRESHOLD, single)[0]
+        for query in queries
+    ]
+    counters = batched.counters_with_prefix("index.")
+    assert counters == single.counters_with_prefix("index.")
+    scored = len(queries) - 1
+    assert counters["index.queries"] == len(queries)
+    assert counters["index.empty_queries"] == 1
+    assert counters["index.verifications"] == n_rows * scored
+    assert counters["index.pairs_considered"] == n_rows * scored
+    matched = sum(answer is not None for answer in answers)
+    assert counters.get("index.matches", 0) == matched
+    assert counters["index.misses"] == scored - matched
+    assert "identify.indexed" in batched.stats()["stages"]
+    assert scan_replica(database, sequences, [], THRESHOLD, batched) == []
+    assert batched.counters_with_prefix("index.") == counters
+
+
+def test_batch_service_counts_shard_scans_into_the_store_metrics(tmp_path, rng):
+    """The local transport counts every shard scan into the store's
+    sink, whatever sink the batch service itself writes to."""
+    corpus = [
+        (f"dev-{index:03d}", Fingerprint(bits=BitVector.random(NBITS, rng, 0.05)))
+        for index in range(12)
+    ]
+    store = ShardedFingerprintStore(tmp_path / "store", n_shards=2)
+    store.ingest(corpus)
+    queries = [BatchQuery.from_errors(key, fp.bits) for key, fp in corpus[:5]]
+    queries.append(BatchQuery.from_errors("empty", BitVector.zeros(NBITS)))
+    service = BatchIdentificationService(
+        store, metrics=ServiceMetrics(), cluster_residuals=False
+    )
+    report = service.run(queries)
+    assert [result.identification.key for result in report.results[:5]] == [
+        key for key, _fp in corpus[:5]
+    ]
+    counters = store.metrics.counters_with_prefix("index.")
+    shards = len({record.shard for record in store.segments})
+    assert counters["index.queries"] == len(queries) * shards
+    assert counters["index.empty_queries"] == shards
+    assert counters["index.verifications"] == len(corpus) * (len(queries) - 1)
+    assert service.metrics.counters_with_prefix("index.") == {}

@@ -1,10 +1,12 @@
-"""Tests for the packed fingerprint database.
+"""Tests for the packed identification of the fingerprint database.
 
 The load-bearing tests are the equivalence properties: on a randomized
 1000-device corpus, and under random interleavings of add / update /
-remove / identify, the packed database must make the *same*
-match/no-match decisions (and return the same keys and distances) as
-the scalar linear-scan reference.
+remove / identify, :class:`~repro.core.identify.FingerprintDatabase`
+must make the *same* match/no-match decisions (and return the same keys
+and distances) as :func:`~repro.core.identify.linear_identify`, the
+scalar Algorithm 2 loop.  The ``index.*`` counters of a replica scan
+are tested with :func:`~repro.service.fanout.scan_replica`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from hypothesis import strategies as st
 
 from repro.bits import BitVector
 from repro.core import (
-    DuplicateKeyError,
     Fingerprint,
     FingerprintDatabase,
     identify_error_string,
     probable_cause_distance,
 )
-from repro.service import IndexedFingerprintDatabase, ServiceMetrics
+from repro.core.identify import linear_identify
 
 NBITS = 4096
 DENSITY = 0.01
@@ -56,11 +57,9 @@ class TestEquivalenceProperty:
         """Acceptance: identical decisions to the linear scan, 1k devices."""
         rng = np.random.default_rng(0x15CA2015)
         corpus = make_corpus(1000, rng)
-        indexed = IndexedFingerprintDatabase()
-        linear = FingerprintDatabase()
+        indexed = FingerprintDatabase()
         for key, fingerprint in corpus:
             indexed.add(key, fingerprint)
-            linear.add(key, fingerprint)
 
         queries = []
         for query_index in range(100):
@@ -75,9 +74,8 @@ class TestEquivalenceProperty:
         matched_hits = 0
         for kind, expected_key, error_string in queries:
             fast = indexed.identify_error_string(error_string)
-            slow = identify_error_string(error_string, linear)
-            assert fast.matched == slow.matched, (kind, expected_key)
-            assert fast.key == slow.key, (kind, expected_key)
+            slow = linear_identify(error_string, corpus)
+            assert fast == slow, (kind, expected_key)
             if kind == "hit" and fast.matched:
                 assert fast.key == expected_key
                 matched_hits += 1
@@ -93,7 +91,7 @@ class TestSemantics:
     def test_first_match_wins_in_insertion_order(self):
         """Two equally-close fingerprints: the earlier key must win,
         exactly as Algorithm 2's linear scan decides."""
-        database = IndexedFingerprintDatabase()
+        database = FingerprintDatabase()
         bits = BitVector.from_indices(NBITS, range(0, 40))
         database.add("later-alphabetically", Fingerprint(bits=bits.copy()))
         database.add("earlier-alphabetically", Fingerprint(bits=bits.copy()))
@@ -101,39 +99,29 @@ class TestSemantics:
         assert result.key == "later-alphabetically"  # inserted first
 
     def test_empty_error_string_fails(self):
-        database = IndexedFingerprintDatabase()
+        database = FingerprintDatabase()
         database.add("a", Fingerprint(bits=BitVector.from_indices(NBITS, [5])))
         assert not database.identify_error_string(BitVector.zeros(NBITS)).matched
-        assert database.metrics.counter("index.empty_queries") == 1
 
     def test_empty_fingerprints_stay_visible_to_queries(self):
         """Zero-weight fingerprints are scored like any other row — the
         decision must equal the linear scan's (which, per the Algorithm
         3 edge case, lets an empty fingerprint match first)."""
-        database = IndexedFingerprintDatabase()
-        linear = FingerprintDatabase()
-        for key, fingerprint in (
+        database = FingerprintDatabase()
+        entries = [
             ("empty", Fingerprint(bits=BitVector.zeros(NBITS))),
             ("real", Fingerprint(bits=BitVector.from_indices(NBITS, [7, 8, 9]))),
-        ):
+        ]
+        for key, fingerprint in entries:
             database.add(key, fingerprint)
-            linear.add(key, fingerprint)
         query = BitVector.from_indices(NBITS, [7, 8, 9])
-        fast = database.identify_error_string(query)
-        slow = identify_error_string(query, linear)
-        assert (fast.matched, fast.key) == (slow.matched, slow.key)
-
-    def test_duplicate_key_raises_through_subclass(self):
-        database = IndexedFingerprintDatabase()
-        database.add("k", Fingerprint(bits=BitVector.from_indices(NBITS, [1])))
-        with pytest.raises(DuplicateKeyError):
-            database.add("k", Fingerprint(bits=BitVector.from_indices(NBITS, [2])))
+        assert database.identify_error_string(query) == linear_identify(query, entries)
 
     def test_update_reindexes(self):
         """After an Algorithm-4 style refinement the *new* fingerprint
         is what queries verify against."""
         rng = np.random.default_rng(3)
-        database = IndexedFingerprintDatabase()
+        database = FingerprintDatabase()
         original = Fingerprint(bits=BitVector.random(NBITS, rng, DENSITY))
         database.add("dev", original)
         refined = original.intersect(
@@ -145,44 +133,34 @@ class TestSemantics:
         assert result.matched and result.key == "dev"
 
     def test_delegation_from_core_identify(self):
-        """core.identify_error_string routes to the packed fast path."""
-        database = IndexedFingerprintDatabase()
+        """core.identify_error_string is the database's own query."""
+        database = FingerprintDatabase()
         bits = BitVector.from_indices(NBITS, range(30))
         database.add("dev", Fingerprint(bits=bits))
         result = identify_error_string(bits, database)
         assert result.matched and result.key == "dev"
-        assert database.metrics.counter("index.queries") == 1
-        assert database.metrics.counter("index.verifications") == 1
-
-    def test_shared_metrics_instance(self):
-        metrics = ServiceMetrics()
-        database = IndexedFingerprintDatabase(metrics=metrics)
-        database.add("a", Fingerprint(bits=BitVector.from_indices(NBITS, [1])))
-        database.identify_error_string(BitVector.from_indices(NBITS, [1]))
-        assert metrics.counter("index.queries") == 1
+        assert result == database.identify_error_string(bits)
 
 
 @pytest.mark.parametrize("n_devices", [0, 1, 200])
 @pytest.mark.parametrize("threshold", [0.1, 0.5])
 def test_batch_identify_equals_per_probe_identify(n_devices, threshold):
-    """One batch call answers each error string as its own call would,
-    and moves every ``index.*`` counter by the same total."""
+    """One batch call answers each error string as its own call, and
+    the scalar oracle, would."""
     rng = np.random.default_rng(n_devices)
     corpus = make_corpus(n_devices, rng)
     queries = [matching_query(fingerprint, rng) for _, fingerprint in corpus[:20]]
     queries += [BitVector.random(NBITS, rng, DENSITY) for _ in range(10)]
     queries += [BitVector.zeros(NBITS), queries[0]]
-    batched, single = IndexedFingerprintDatabase(), IndexedFingerprintDatabase()
+    database = FingerprintDatabase()
     for key, fingerprint in corpus:
-        batched.add(key, fingerprint)
-        single.add(key, fingerprint)
-    answers = batched.identify_error_strings(queries, threshold)
-    assert answers == [single.identify_error_string(query, threshold) for query in queries]
-    assert batched.metrics.counters_with_prefix("index.") == (
-        single.metrics.counters_with_prefix("index.")
-    )
-    assert batched.identify_error_strings([], threshold) == []
-    assert batched.metrics.counter("index.queries") == len(queries)
+        database.add(key, fingerprint)
+    answers = database.identify_error_strings(queries, threshold)
+    assert answers == [
+        database.identify_error_string(query, threshold) for query in queries
+    ]
+    assert answers == [linear_identify(query, corpus, threshold) for query in queries]
+    assert database.identify_error_strings([], threshold) == []
 
 
 PROPERTY_NBITS = 70  # one full word plus a partial one
@@ -208,14 +186,15 @@ operations = st.lists(
 @given(operations)
 def test_interleaved_operations_match_linear_scan(ops):
     """Random add/update/remove/identify sequences: the packed database
-    answers exactly like core identification over a plain database."""
-    packed = IndexedFingerprintDatabase()
-    linear = FingerprintDatabase()
+    answers exactly like the scalar loop over the same entries, kept in
+    a plain dict."""
+    packed = FingerprintDatabase()
+    linear: dict = {}
     for op in ops:
         if op[0] == "identify":
             _, error_string, threshold = op
             fast = packed.identify_error_string(error_string, threshold)
-            slow = identify_error_string(error_string, linear, threshold)
+            slow = linear_identify(error_string, linear.items(), threshold)
             assert fast == slow
             if error_string.any():
                 expected = [
@@ -225,15 +204,19 @@ def test_interleaved_operations_match_linear_scan(ops):
                 ]
                 assert packed.candidate_keys(error_string, threshold) == expected
             continue
-        outcomes = []
-        for database in (packed, linear):
-            try:
-                if op[0] == "remove":
-                    database.remove(op[1])
+        kind, key = op[0], op[1]
+        present = key in linear
+        if (kind == "add") == present:
+            with pytest.raises(KeyError):
+                if kind == "remove":
+                    packed.remove(key)
                 else:
-                    getattr(database, op[0])(op[1], Fingerprint(bits=op[2]))
-                outcomes.append(None)
-            except KeyError as error:
-                outcomes.append(type(error))
-        assert outcomes[0] == outcomes[1]
-        assert packed.keys() == linear.keys()
+                    getattr(packed, kind)(key, Fingerprint(bits=op[2]))
+        elif kind == "remove":
+            packed.remove(key)
+            del linear[key]
+        else:
+            getattr(packed, kind)(key, Fingerprint(bits=op[2]))
+            linear[key] = Fingerprint(bits=op[2])
+        assert packed.keys() == list(linear)
+        assert list(packed.items()) == list(linear.items())
