@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 from repro.bits import BitVector
 from repro.core import (
+    DuplicateKeyError,
     Fingerprint,
     FingerprintDatabase,
     identify_error_string,
     probable_cause_distance,
 )
 from repro.core.identify import linear_identify
+from repro.service.indexed import IndexedFingerprintDatabase
 
 NBITS = 4096
 DENSITY = 0.01
@@ -116,6 +118,15 @@ class TestSemantics:
             database.add(key, fingerprint)
         query = BitVector.from_indices(NBITS, [7, 8, 9])
         assert database.identify_error_string(query) == linear_identify(query, entries)
+
+    def test_duplicate_key_raises_through_subclass(self):
+        """The old service name is the core database, with its
+        duplicate-key rule."""
+        assert IndexedFingerprintDatabase is FingerprintDatabase
+        database = IndexedFingerprintDatabase()
+        database.add("k", Fingerprint(bits=BitVector.from_indices(NBITS, [1])))
+        with pytest.raises(DuplicateKeyError):
+            database.add("k", Fingerprint(bits=BitVector.from_indices(NBITS, [2])))
 
     def test_update_reindexes(self):
         """After an Algorithm-4 style refinement the *new* fingerprint
